@@ -87,7 +87,7 @@ shm::Prog MultiShotAgreement::driver(Pid p,
         } else {
           co_await shm::write(req.reg, std::move(req.to_write));
         }
-        req = shm::OpRequest{};
+        req.clear();
         kid.resume();
         if (statuses[static_cast<std::size_t>(m)].decided) {
           decision = statuses[static_cast<std::size_t>(m)].value;

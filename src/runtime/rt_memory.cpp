@@ -4,11 +4,13 @@
 
 namespace setlib::runtime {
 
-shm::RegisterId RtMemory::alloc(std::string name) {
+shm::RegisterId RtMemory::add_registers(std::int64_t count) {
   SETLIB_EXPECTS(!frozen());
-  cells_.push_back(std::make_unique<Cell>());
-  names_.push_back(std::move(name));
-  return static_cast<shm::RegisterId>(cells_.size()) - 1;
+  const shm::RegisterId base = register_count();
+  for (std::int64_t i = 0; i < count; ++i) {
+    cells_.push_back(std::make_unique<Cell>());
+  }
+  return base;
 }
 
 shm::Value RtMemory::read(shm::RegisterId reg) {
@@ -29,11 +31,6 @@ void RtMemory::write(shm::RegisterId reg, shm::Value v) {
 
 std::int64_t RtMemory::register_count() const {
   return static_cast<std::int64_t>(cells_.size());
-}
-
-const std::string& RtMemory::name(shm::RegisterId reg) const {
-  SETLIB_EXPECTS(reg >= 0 && reg < register_count());
-  return names_[static_cast<std::size_t>(reg)];
 }
 
 }  // namespace setlib::runtime

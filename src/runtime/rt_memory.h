@@ -24,11 +24,9 @@ class RtMemory final : public shm::IMemory {
  public:
   RtMemory() = default;
 
-  shm::RegisterId alloc(std::string name) override;
   shm::Value read(shm::RegisterId reg) override;
   void write(shm::RegisterId reg, shm::Value v) override;
   std::int64_t register_count() const override;
-  const std::string& name(shm::RegisterId reg) const override;
   std::int64_t read_count() const override {
     return reads_.load(std::memory_order_relaxed);
   }
@@ -43,17 +41,19 @@ class RtMemory final : public shm::IMemory {
     return frozen_.load(std::memory_order_acquire);
   }
 
+ protected:
+  shm::RegisterId add_registers(std::int64_t count) override;
+
  private:
   struct Cell {
     mutable util::Mutex mu;
     shm::Value value SETLIB_GUARDED_BY(mu);
   };
 
-  // The cell vector itself is setup-phase-only: alloc() appends until
+  // The cell vector itself is setup-phase-only: allocation appends until
   // freeze(), and the executor freezes before any reader thread
   // exists, so only each cell's payload needs a guard.
   std::vector<std::unique_ptr<Cell>> cells_;
-  std::vector<std::string> names_;
   std::atomic<bool> frozen_{false};
   std::atomic<std::int64_t> reads_{0};
   std::atomic<std::int64_t> writes_{0};

@@ -1,5 +1,7 @@
 #include "src/sched/generators.h"
 
+#include <algorithm>
+
 #include "src/util/assert.h"
 
 namespace setlib::sched {
@@ -229,6 +231,14 @@ ProcSet CrashPlan::alive_at(std::int64_t step) const {
     if (!crashed_by(p, step)) s = s.with(p);
   }
   return s;
+}
+
+std::int64_t CrashPlan::next_crash_after(std::int64_t step) const {
+  std::int64_t next = kNever;
+  for (const std::int64_t at : crash_step_) {
+    if (at > step) next = std::min(next, at);
+  }
+  return next;
 }
 
 CrashFilterGenerator::CrashFilterGenerator(

@@ -16,6 +16,22 @@ std::uint64_t reactive_seed(std::uint64_t seed, std::uint64_t role) noexcept {
   return splitmix64(state);
 }
 
+/// Writes s's members to out in increasing order; returns how many.
+/// The generators' per-pull picks use this instead of to_vector() so a
+/// pull never touches the heap.
+int to_array(ProcSet s, Pid (&out)[kMaxProcs]) {
+  int count = 0;
+  s.for_each([&](Pid p) { out[count++] = p; });
+  return count;
+}
+
+/// Uniform member of a non-empty set (the same draw as indexing its
+/// increasing pid list).
+Pid uniform_member(ProcSet s, Rng& rng) {
+  return s.nth(static_cast<int>(
+      rng.next_below(static_cast<std::uint64_t>(s.size()))));
+}
+
 void validate(const ReactiveParams& params) {
   SETLIB_EXPECTS(params.n >= 1 && params.n <= kMaxProcs);
   SETLIB_EXPECTS(params.victims >= 0);
@@ -53,16 +69,19 @@ void WindowStretcherGenerator::begin_epoch() {
   // Equivalently the epoch's actives are the fewest-stepped, so the
   // solo/active role rotates through all processes as counts balance —
   // over time every candidate P-set gets fully-silenced epochs.
-  std::vector<Pid> pids = alive().to_vector();
-  std::stable_sort(pids.begin(), pids.end(), [this](Pid a, Pid b) {
-    return feed_->steps_of(a) < feed_->steps_of(b);
+  Pid pids[kMaxProcs];
+  const int alive_count = to_array(alive(), pids);
+  // Ties by pid: the stable order of the increasing pid list.
+  std::sort(pids, pids + alive_count, [this](Pid a, Pid b) {
+    const std::int64_t sa = feed_->steps_of(a);
+    const std::int64_t sb = feed_->steps_of(b);
+    return sa != sb ? sa < sb : a < b;
   });
-  const int alive_count = static_cast<int>(pids.size());
   int vcount = params_.victims == 0 ? alive_count - 1 : params_.victims;
   vcount = std::clamp(vcount, 0, alive_count - 1);
-  const auto split = pids.begin() + (alive_count - vcount);
-  active_.assign(pids.begin(), split);
-  release_.assign(split, pids.end());
+  Pid* const split = pids + (alive_count - vcount);
+  active_.assign(pids, split);
+  release_.assign(split, pids + alive_count);
   // Reactive growth: the epoch lasts as long as the oldest window the
   // run has produced so far (the peak silence, sampled step by step in
   // next()), plus the base stretch — so silent stretches keep getting
@@ -92,20 +111,21 @@ DecisionChaserGenerator::DecisionChaserGenerator(
     std::shared_ptr<ObservationFeed> feed)
     : ReactiveGenerator(std::move(feed)),
       params_(params),
-      rng_(reactive_seed(seed, 1)) {
+      rng_(reactive_seed(seed, 1)),
+      until_release_(params.stretch) {
   validate(params);
   SETLIB_EXPECTS(params.n == n());
 }
 
 Pid DecisionChaserGenerator::next() {
   const ProcSet alive_set = alive();
-  ++emitted_;
-  if (emitted_ % params_.stretch == 0) {
+  if (--until_release_ == 0) {
+    until_release_ = params_.stretch;
     // Liveness release: round-robin over the alive set, so even the
     // chased processes step infinitely often.
-    const std::vector<Pid> pids = alive_set.to_vector();
-    const Pid p = pids[static_cast<std::size_t>(rr_) % pids.size()];
-    rr_ = (rr_ + 1) % static_cast<int>(pids.size());
+    const int size = alive_set.size();
+    const Pid p = alive_set.nth(rr_ % size);
+    rr_ = (rr_ + 1) % size;
     return p;
   }
   // Victims = the alive, undecided processes nearest to deciding
@@ -115,18 +135,22 @@ Pid DecisionChaserGenerator::next() {
   vcount = std::clamp(vcount, 0, alive_set.size() - 1);
   ProcSet victims;
   if (vcount > 0) {
-    std::vector<Pid> chased = (alive_set - feed_->decided_set()).to_vector();
-    std::stable_sort(chased.begin(), chased.end(), [this](Pid a, Pid b) {
-      return feed_->progress_of(a) > feed_->progress_of(b);
-    });
-    const int take = std::min<int>(vcount, static_cast<int>(chased.size()));
+    Pid chased[kMaxProcs];
+    const int count = to_array(alive_set - feed_->decided_set(), chased);
+    const int take = std::min(vcount, count);
+    // Most progress first, ties by pid: the stable order of the
+    // increasing pid list, so only the first `take` need sorting.
+    std::partial_sort(chased, chased + take, chased + count,
+                      [this](Pid a, Pid b) {
+                        const std::int64_t pa = feed_->progress_of(a);
+                        const std::int64_t pb = feed_->progress_of(b);
+                        return pa != pb ? pa > pb : a < b;
+                      });
     for (int v = 0; v < take; ++v) victims = victims.with(chased[v]);
   }
   ProcSet pool = alive_set - victims;
   if (pool.empty()) pool = alive_set;
-  const std::vector<Pid> pids = pool.to_vector();
-  return pids[static_cast<std::size_t>(
-      rng_.next_below(static_cast<std::uint64_t>(pids.size())))];
+  return uniform_member(pool, rng_);
 }
 
 BudgetCrasherGenerator::BudgetCrasherGenerator(
@@ -187,9 +211,7 @@ void BudgetCrasherGenerator::maybe_spend_budget() {
 
 Pid BudgetCrasherGenerator::next() {
   maybe_spend_budget();
-  const std::vector<Pid> pids = alive().to_vector();
-  return pids[static_cast<std::size_t>(
-      rng_.next_below(static_cast<std::uint64_t>(pids.size())))];
+  return uniform_member(alive(), rng_);
 }
 
 const std::vector<ReactiveInfo>& reactive_adversaries() {

@@ -112,7 +112,7 @@ class DecisionChaserGenerator final : public ReactiveGenerator {
  private:
   ReactiveParams params_;
   Rng rng_;
-  std::int64_t emitted_ = 0;
+  std::int64_t until_release_;  // pulls left until the next release
   int rr_ = 0;  // release rotation cursor
 };
 

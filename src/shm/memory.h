@@ -7,6 +7,10 @@
 // a setup phase (before any step executes); reads of never-written
 // registers return the bottom Value.
 //
+// Names are diagnostics only: IMemory keeps one name per allocation
+// (a single register or a whole array) and renders a register's name,
+// "arr[3]" for an array element, only when name() asks for it.
+//
 // Threading model: SimMemory is single-threaded by construction — it
 // only ever runs inside the Simulator's step loop, which serializes
 // every process step on one thread. It therefore owns no locks and no
@@ -29,21 +33,40 @@ class IMemory {
  public:
   virtual ~IMemory() = default;
 
-  /// Allocate one register. Setup-phase only for threaded memories.
-  virtual RegisterId alloc(std::string name) = 0;
+  /// Allocate one register named `name`. Setup-phase only for threaded
+  /// memories.
+  RegisterId alloc(std::string name);
 
-  /// Allocate `count` registers with contiguous ids; returns the base id.
-  RegisterId alloc_array(const std::string& name, std::int64_t count);
+  /// Allocate `count` registers with contiguous ids, named
+  /// "name[0]".."name[count-1]"; returns the base id.
+  RegisterId alloc_array(std::string name, std::int64_t count);
+
+  /// The register's name, rendered on demand.
+  std::string name(RegisterId reg) const;
 
   virtual Value read(RegisterId reg) = 0;
   virtual void write(RegisterId reg, Value v) = 0;
 
   virtual std::int64_t register_count() const = 0;
-  virtual const std::string& name(RegisterId reg) const = 0;
 
   /// Total reads/writes performed (for benchmarks and step accounting).
   virtual std::int64_t read_count() const = 0;
   virtual std::int64_t write_count() const = 0;
+
+ protected:
+  /// Append `count` bottom registers; returns the first new id.
+  virtual RegisterId add_registers(std::int64_t count) = 0;
+
+ private:
+  struct NameRun {
+    RegisterId base;
+    bool indexed;  // an alloc_array run: element names carry "[i]"
+    std::string name;
+  };
+
+  RegisterId add_named(std::string name, std::int64_t count, bool indexed);
+
+  std::vector<NameRun> names_;  // ascending base ids
 };
 
 /// Deterministic single-threaded memory.
@@ -51,20 +74,20 @@ class SimMemory final : public IMemory {
  public:
   SimMemory() = default;
 
-  RegisterId alloc(std::string name) override;
   Value read(RegisterId reg) override;
   void write(RegisterId reg, Value v) override;
   std::int64_t register_count() const override;
-  const std::string& name(RegisterId reg) const override;
   std::int64_t read_count() const override { return reads_; }
   std::int64_t write_count() const override { return writes_; }
 
   /// Direct (non-step) inspection for tests/validators.
   const Value& peek(RegisterId reg) const;
 
+ protected:
+  RegisterId add_registers(std::int64_t count) override;
+
  private:
   std::vector<Value> cells_;
-  std::vector<std::string> names_;
   std::int64_t reads_ = 0;
   std::int64_t writes_ = 0;
 };

@@ -21,11 +21,15 @@ bool ProcessRuntime::halted() const {
 }
 
 ProcessRuntime::TaskCb* ProcessRuntime::next_live_task() {
+  // The cursor wraps by comparison: rr_cursor_ < count always holds
+  // (tasks are only ever added), so no division is needed.
   const std::size_t count = tasks_.size();
+  std::size_t at = rr_cursor_;
   for (std::size_t i = 0; i < count; ++i) {
-    TaskCb& t = tasks_[(rr_cursor_ + i) % count];
+    TaskCb& t = tasks_[at];
+    if (++at == count) at = 0;
     if (!t.started || !t.prog.done()) {
-      rr_cursor_ = (rr_cursor_ + i + 1) % count;
+      rr_cursor_ = at;
       return &t;
     }
   }
@@ -55,7 +59,7 @@ bool ProcessRuntime::step(IMemory& mem) {
     case OpRequest::Kind::kNone:
       break;
   }
-  req = OpRequest{};
+  req.clear();
   ++ops_;
   t->prog.resume();  // run to the next request or completion
   return true;

@@ -37,6 +37,14 @@ struct OpRequest {
   RegisterId reg = -1;
   Value to_write;        // kWrite payload
   Value* read_sink = nullptr;  // kRead destination (inside the awaiter)
+
+  /// Mark the request served. Only kind and read_sink are reset: reg
+  /// and to_write are rewritten by the next request before use (a
+  /// served write's payload has been moved out already).
+  void clear() noexcept {
+    kind = Kind::kNone;
+    read_sink = nullptr;
+  }
 };
 
 /// Owning handle to a per-process program coroutine.
@@ -112,8 +120,10 @@ struct ReadOp {
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<Prog::promise_type> h) noexcept {
-    h.promise().pending =
-        OpRequest{OpRequest::Kind::kRead, reg, Value(), &result};
+    OpRequest& req = h.promise().pending;
+    req.kind = OpRequest::Kind::kRead;
+    req.reg = reg;
+    req.read_sink = &result;
   }
   Value await_resume() noexcept { return std::move(result); }
 };
@@ -125,8 +135,11 @@ struct WriteOp {
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<Prog::promise_type> h) noexcept {
-    h.promise().pending = OpRequest{OpRequest::Kind::kWrite, reg,
-                                    std::move(value), nullptr};
+    OpRequest& req = h.promise().pending;
+    req.kind = OpRequest::Kind::kWrite;
+    req.reg = reg;
+    req.to_write = std::move(value);
+    req.read_sink = nullptr;
   }
   void await_resume() const noexcept {}
 };
@@ -163,7 +176,7 @@ inline WriteOp write(RegisterId reg, Value v) {
         co_await ::setlib::shm::write(setlib_co_req.reg,                     \
                                       std::move(setlib_co_req.to_write));    \
       }                                                                      \
-      setlib_co_req = ::setlib::shm::OpRequest{};                            \
+      setlib_co_req.clear();                                                 \
       setlib_co_child.resume();                                              \
     }                                                                        \
   } while (false)

@@ -6,6 +6,17 @@
 // the executed schedule, not the generator's intent, is what Definition
 // 1 is evaluated on). Crashed processes take no further steps; pulls
 // that land on a crashed process are skipped without being recorded.
+//
+// Step-loop cadences (part of the determinism contract: reactive
+// adversaries read the ObservationFeed, so moving any of these would
+// change their schedules):
+//   - the stop predicate runs after every check_every-th executed step;
+//   - the crash source is polled before every pull;
+//   - a plan crash happens before the first step at or after its crash
+//     step.
+// The loop itself does no heap allocation and no integer division per
+// step: the stop check counts down, and the crash plan is scanned only
+// when the executed step count reaches its next pending crash step.
 #ifndef SETLIB_SHM_SIMULATOR_H
 #define SETLIB_SHM_SIMULATOR_H
 
@@ -19,6 +30,7 @@
 #include "src/sched/schedule.h"
 #include "src/shm/memory.h"
 #include "src/shm/process.h"
+#include "src/util/assert.h"
 #include "src/util/procset.h"
 
 namespace setlib::shm {
@@ -62,18 +74,24 @@ class Simulator {
   std::int64_t run(sched::ScheduleGenerator& gen, std::int64_t steps);
 
   /// Run until stop() returns true (checked every `check_every` steps)
-  /// or max_steps executed. Returns executed steps.
+  /// or max_steps executed. Returns executed steps. `stop` is any
+  /// callable returning bool; it is invoked in place, never stored.
+  template <typename Stop>
   std::int64_t run_until(sched::ScheduleGenerator& gen,
-                         std::int64_t max_steps,
-                         const std::function<bool()>& stop,
+                         std::int64_t max_steps, Stop&& stop,
                          std::int64_t check_every = 64);
 
   const sched::Schedule& executed() const noexcept { return executed_; }
   std::int64_t steps_taken() const noexcept { return executed_.size(); }
 
  private:
-  bool maybe_crash_per_plan();
-  void maybe_crash_per_source();
+  /// Crash every live process whose plan step has been reached, then
+  /// re-arm next_plan_crash_ at the plan's next crash step.
+  void crash_per_plan();
+  void crash_per_plan_if_due() {
+    if (steps_taken() >= next_plan_crash_) crash_per_plan();
+  }
+  void crash_per_source();
   bool execute(Pid p);
 
   IMemory& mem_;
@@ -81,10 +99,44 @@ class Simulator {
   std::vector<ProcessRuntime> procs_;
   ProcSet crashed_;
   sched::Schedule executed_;
-  std::vector<std::int64_t> plan_crash_steps_;
+  ProcSet everyone_;
+  sched::CrashPlan plan_;
+  /// The plan's first crash step after the last scan (kNever when
+  /// none): no plan crash is due before it.
+  std::int64_t next_plan_crash_ = sched::CrashPlan::kNever;
   std::function<ProcSet()> crash_source_;
   sched::ObservationFeed* feed_ = nullptr;
 };
+
+template <typename Stop>
+std::int64_t Simulator::run_until(sched::ScheduleGenerator& gen,
+                                  std::int64_t max_steps, Stop&& stop,
+                                  std::int64_t check_every) {
+  SETLIB_EXPECTS(gen.n() == n_);
+  SETLIB_EXPECTS(max_steps >= 0);
+  SETLIB_EXPECTS(check_every >= 1);
+  std::int64_t executed = 0;
+  std::int64_t until_check = check_every;
+  // A pull landing on a crashed process is skipped without executing;
+  // cap total pulls so a generator that only schedules crashed pids
+  // cannot livelock the run.
+  std::int64_t pulls = 0;
+  const std::int64_t max_pulls = 16 * max_steps + 1024;
+  while (executed < max_steps && pulls < max_pulls) {
+    crash_per_plan_if_due();
+    if (crash_source_) crash_per_source();
+    if (crashed_ == everyone_) break;
+    const Pid p = gen.next();
+    ++pulls;
+    if (!execute(p)) continue;
+    ++executed;
+    if (--until_check == 0) {
+      until_check = check_every;
+      if (stop()) break;
+    }
+  }
+  return executed;
+}
 
 }  // namespace setlib::shm
 

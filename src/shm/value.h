@@ -7,16 +7,27 @@
 // "bottom"; readers use at_or() to treat bottom fields as defaults (the
 // paper initializes its registers to 0).
 //
+// Storage: tuples of up to kInlineWords words live inside the Value
+// itself, so the step loop's reads and writes of heartbeats, counters
+// and Paxos blocks copy a few words and never touch the heap. Longer
+// tuples (snapshot segments, BG-simulation cells) spill to one heap
+// array of exactly size() words. The two representations are
+// indistinguishable through the interface: equality, copies and
+// printing depend only on the words.
+//
 // Threading model: Value is a plain value type with no shared state;
 // concurrent use is governed entirely by the memory that stores it
 // (SimMemory: single-threaded; runtime::RtMemory: per-cell mutex).
 #ifndef SETLIB_SHM_VALUE_H
 #define SETLIB_SHM_VALUE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/assert.h"
@@ -25,54 +36,61 @@ namespace setlib::shm {
 
 class Value {
  public:
-  Value() = default;
-  Value(std::initializer_list<std::int64_t> words) : words_(words) {}
-  explicit Value(std::vector<std::int64_t> words)
-      : words_(std::move(words)) {}
+  /// Tuples up to this many words are stored inline.
+  static constexpr std::size_t kInlineWords = 4;
+
+  Value() noexcept = default;
+  Value(std::initializer_list<std::int64_t> words) {
+    assign(words.begin(), words.size());
+  }
+  explicit Value(const std::vector<std::int64_t>& words) {
+    assign(words.data(), words.size());
+  }
+
+  Value(const Value& other) { copy_from(other); }
+  Value(Value&& other) noexcept { steal(other); }
+  Value& operator=(const Value& other) {
+    if (this != &other) {
+      release();
+      copy_from(other);
+    }
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      release();
+      steal(other);
+    }
+    return *this;
+  }
+  ~Value() { release(); }
 
   // Explicit tuple factories. Prefer these inside coroutine bodies:
   // braced initializer_list temporaries in coroutines trip GCC 12
   // (PR102217, "array used as initializer").
-  static Value of(std::int64_t x) {
-    return Value(std::vector<std::int64_t>(1, x));
+  static Value of(std::int64_t a) noexcept { return Value(1, a, 0, 0, 0); }
+  static Value of(std::int64_t a, std::int64_t b) noexcept {
+    return Value(2, a, b, 0, 0);
   }
-  static Value of(std::int64_t a, std::int64_t b) {
-    std::vector<std::int64_t> w;
-    w.reserve(2);
-    w.push_back(a);
-    w.push_back(b);
-    return Value(std::move(w));
-  }
-  static Value of(std::int64_t a, std::int64_t b, std::int64_t c) {
-    std::vector<std::int64_t> w;
-    w.reserve(3);
-    w.push_back(a);
-    w.push_back(b);
-    w.push_back(c);
-    return Value(std::move(w));
+  static Value of(std::int64_t a, std::int64_t b, std::int64_t c) noexcept {
+    return Value(3, a, b, c, 0);
   }
   static Value of(std::int64_t a, std::int64_t b, std::int64_t c,
-                  std::int64_t d) {
-    std::vector<std::int64_t> w;
-    w.reserve(4);
-    w.push_back(a);
-    w.push_back(b);
-    w.push_back(c);
-    w.push_back(d);
-    return Value(std::move(w));
+                  std::int64_t d) noexcept {
+    return Value(4, a, b, c, d);
   }
 
-  bool is_nil() const noexcept { return words_.empty(); }
-  std::size_t size() const noexcept { return words_.size(); }
+  bool is_nil() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
 
   std::int64_t at(std::size_t i) const {
-    SETLIB_EXPECTS(i < words_.size());
-    return words_[i];
+    SETLIB_EXPECTS(i < size_);
+    return data()[i];
   }
 
   /// Field i, or `def` when the value is bottom / too short.
   std::int64_t at_or(std::size_t i, std::int64_t def) const noexcept {
-    return i < words_.size() ? words_[i] : def;
+    return i < size_ ? data()[i] : def;
   }
 
   /// Whole-value convenience for single-word registers.
@@ -80,10 +98,13 @@ class Value {
     return at_or(0, def);
   }
 
-  const std::vector<std::int64_t>& words() const noexcept { return words_; }
+  std::span<const std::int64_t> words() const noexcept {
+    return {data(), size_};
+  }
 
   friend bool operator==(const Value& a, const Value& b) noexcept {
-    return a.words_ == b.words_;
+    return a.size_ == b.size_ &&
+           std::equal(a.data(), a.data() + a.size_, b.data());
   }
   friend bool operator!=(const Value& a, const Value& b) noexcept {
     return !(a == b);
@@ -92,7 +113,57 @@ class Value {
   std::string to_string() const;
 
  private:
-  std::vector<std::int64_t> words_;
+  Value(std::size_t size, std::int64_t a, std::int64_t b, std::int64_t c,
+        std::int64_t d) noexcept
+      : size_(size), inline_{a, b, c, d} {}
+
+  bool spilled() const noexcept { return size_ > kInlineWords; }
+  const std::int64_t* data() const noexcept {
+    return spilled() ? heap_ : inline_;
+  }
+
+  void assign(const std::int64_t* words, std::size_t size) {
+    std::int64_t* dst = inline_;
+    if (size > kInlineWords) {
+      heap_ = new std::int64_t[size];
+      dst = heap_;
+    }
+    size_ = size;
+    std::copy(words, words + size, dst);
+  }
+  // Inline words are always initialized (unused ones are zero), so an
+  // inline copy moves the whole fixed-size block without a size branch.
+  void copy_from(const Value& other) {
+    if (other.spilled()) {
+      assign(other.heap_, other.size_);
+    } else {
+      size_ = other.size_;
+      std::copy(other.inline_, other.inline_ + kInlineWords, inline_);
+    }
+  }
+  void steal(Value& other) noexcept {
+    size_ = other.size_;
+    if (other.spilled()) {
+      heap_ = other.heap_;
+      other.size_ = 0;
+      std::fill(other.inline_, other.inline_ + kInlineWords, 0);
+    } else {
+      std::copy(other.inline_, other.inline_ + kInlineWords, inline_);
+    }
+  }
+  void release() noexcept {
+    if (spilled()) {
+      delete[] heap_;
+      size_ = 0;
+      std::fill(inline_, inline_ + kInlineWords, 0);
+    }
+  }
+
+  std::size_t size_ = 0;
+  union {
+    std::int64_t inline_[kInlineWords] = {0, 0, 0, 0};
+    std::int64_t* heap_;
+  };
 };
 
 std::ostream& operator<<(std::ostream& os, const Value& v);

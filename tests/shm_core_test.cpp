@@ -2,6 +2,10 @@
 // programs, process runtimes, and the simulator.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "src/sched/generators.h"
 #include "src/shm/memory.h"
 #include "src/shm/process.h"
@@ -225,6 +229,154 @@ TEST(SimulatorTest, StepAccountingMatchesMemoryCounters) {
   sched::RoundRobinGenerator gen(2);
   sim.run(gen, 120);
   EXPECT_EQ(mem.read_count() + mem.write_count(), 120);
+}
+
+// ---------------------------------------------------------------------
+// Crash and stop cadences against a per-step reference. The simulator
+// scans its crash plan only when the next pending crash step is reached
+// and counts down to its stop checks; the reference below re-checks the
+// whole plan before every pull and tests executed % check_every, the
+// straightforward reading of the cadence contract in simulator.h.
+
+struct CadenceRun {
+  std::vector<Pid> steps;
+  ProcSet crashed;
+  std::vector<std::int64_t> stop_checks;  // executed steps at each check
+};
+
+CadenceRun reference_run(const sched::CrashPlan& plan,
+                         sched::ScheduleGenerator& gen,
+                         std::int64_t max_steps,
+                         const std::function<ProcSet()>& source,
+                         std::int64_t check_every) {
+  CadenceRun out;
+  const int n = plan.n();
+  std::int64_t pulls = 0;
+  while (static_cast<std::int64_t>(out.steps.size()) < max_steps &&
+         pulls < 16 * max_steps + 1024) {
+    const auto now = static_cast<std::int64_t>(out.steps.size());
+    for (Pid p = 0; p < n; ++p) {
+      if (plan.crash_step(p) <= now) out.crashed = out.crashed.with(p);
+    }
+    if (source) out.crashed = out.crashed | source();
+    if (out.crashed == ProcSet::universe(n)) break;
+    const Pid p = gen.next();
+    ++pulls;
+    if (out.crashed.contains(p)) continue;
+    out.steps.push_back(p);
+    if (out.steps.size() % static_cast<std::size_t>(check_every) == 0) {
+      out.stop_checks.push_back(static_cast<std::int64_t>(out.steps.size()));
+    }
+  }
+  return out;
+}
+
+CadenceRun simulator_run(const sched::CrashPlan& plan,
+                         sched::ScheduleGenerator& gen,
+                         std::int64_t max_steps,
+                         std::function<ProcSet()> source,
+                         std::int64_t check_every) {
+  SimMemory mem;
+  Simulator sim(mem, plan.n());
+  sim.use_crash_plan(plan);
+  if (source) sim.use_crash_source(std::move(source));
+  CadenceRun out;
+  sim.run_until(
+      gen, max_steps,
+      [&] {
+        out.stop_checks.push_back(sim.steps_taken());
+        return false;
+      },
+      check_every);
+  out.steps = sim.executed().steps();
+  out.crashed = sim.crashed_set();
+  return out;
+}
+
+/// A crash source that requests `who` from its `at`-th poll on; each
+/// copy counts its own polls, so the source crashes at a pull, not at
+/// a step.
+std::function<ProcSet()> crash_after_polls(
+    std::vector<std::pair<int, ProcSet>> schedule) {
+  return [polls = 0, schedule = std::move(schedule)]() mutable {
+    ++polls;
+    ProcSet requested;
+    for (const auto& [at, who] : schedule) {
+      if (polls >= at) requested = requested | who;
+    }
+    return requested;
+  };
+}
+
+void expect_same_as_reference(const sched::CrashPlan& plan,
+                              std::uint64_t seed, std::int64_t max_steps,
+                              const std::function<ProcSet()>& source,
+                              std::int64_t check_every) {
+  sched::UniformRandomGenerator sim_gen(plan.n(), seed);
+  sched::UniformRandomGenerator ref_gen(plan.n(), seed);
+  const CadenceRun got =
+      simulator_run(plan, sim_gen, max_steps, source, check_every);
+  const CadenceRun want =
+      reference_run(plan, ref_gen, max_steps, source, check_every);
+  EXPECT_EQ(got.steps, want.steps);
+  EXPECT_EQ(got.crashed, want.crashed);
+  EXPECT_EQ(got.stop_checks, want.stop_checks);
+}
+
+TEST(SimulatorCadenceTest, StaggeredPlanCrashesMatchPerStepCheck) {
+  sched::CrashPlan plan(6);
+  plan.set_crash(0, 0);  // before the very first step
+  plan.set_crash(1, 7);
+  plan.set_crash(2, 7);  // two crashes due at the same step
+  plan.set_crash(3, 31);
+  plan.set_crash(4, 32);  // due right after another crash
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_same_as_reference(plan, seed, 300, nullptr, 16);
+  }
+}
+
+TEST(SimulatorCadenceTest, PlanWithCrashSourceMatchesPerStepCheck) {
+  sched::CrashPlan plan(5);
+  plan.set_crash(1, 12);
+  plan.set_crash(2, 50);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    // The source asks for 3 at the 40th poll, then for 2 (already due
+    // under the plan by then, or not) and 0 at the 45th.
+    expect_same_as_reference(
+        plan, seed, 400,
+        crash_after_polls({{40, ProcSet::of(3)}, {45, ProcSet::of({0, 2})}}),
+        8);
+  }
+}
+
+TEST(SimulatorCadenceTest, EveryoneCrashedEndsRunLikeReference) {
+  const sched::CrashPlan plan = sched::CrashPlan::at(3, ProcSet::of({0, 1}), 9);
+  expect_same_as_reference(plan, 5, 100,
+                           crash_after_polls({{20, ProcSet::of(2)}}), 4);
+}
+
+TEST(SimulatorCadenceTest, StepOnceAppliesPlanCrashAtItsStep) {
+  SimMemory mem;
+  Simulator sim(mem, 3);
+  sched::CrashPlan plan(3);
+  plan.set_crash(1, 3);
+  plan.set_crash(2, 0);
+  sim.use_crash_plan(plan);
+  for (int i = 0; i < 5; ++i) sim.step_once(1);
+  // Steps 0..2 execute; the crash lands before step 3.
+  EXPECT_EQ(sim.steps_taken(), 3);
+  EXPECT_EQ(sim.crashed_set(), ProcSet::of({1, 2}));
+  sim.step_once(0);
+  EXPECT_EQ(sim.executed().steps(), (std::vector<Pid>{1, 1, 1, 0}));
+
+  // A plan installed mid-run re-arms the check: a crash step already
+  // passed applies before the next step.
+  sched::CrashPlan late(3);
+  late.set_crash(0, 2);
+  sim.use_crash_plan(late);
+  sim.step_once(0);
+  EXPECT_EQ(sim.steps_taken(), 4);
+  EXPECT_TRUE(sim.crashed(0));
 }
 
 }  // namespace
