@@ -1,22 +1,13 @@
 #!/usr/bin/env python3
-"""Checks that sharded sweep runs recombine to the unsharded run.
+"""Checks that a merged sharded run equals the unsharded run.
 
-Usage: check_shard_union.py FULL.json SHARD0.json [SHARD1.json ...]
-       check_shard_union.py FULL.json --merged MERGED.json
+Usage: check_shard_union.py FULL.json --merged MERGED.json
 
-Two modes:
-
-  * Shard list (legacy): a thin structural check on the raw shard
-    documents — per section, the shards' "rows" arrays concatenate to
-    the full run's rows and the cell counts sum. The real merge logic
-    lives in C++ (core::merge_shard_docs, exposed as
-    `sweep_orchestrator --merge-only`); this path just sanity-checks
-    raw worker output without needing the binary.
-
-  * --merged: full comparison of an already-merged document (written
-    by sweep_orchestrator) against the unsharded run. The documents
-    must be bit-identical in canonical form (sorted keys) after
-    stripping timing keys.
+MERGED.json is a document merged from shard runs (by
+`sweep_orchestrator`, or by `sweep_orchestrator --merge-only` over
+--shard/--cells documents); FULL.json is the unsharded --json run.
+The documents must be bit-identical in canonical form (sorted keys)
+after stripping timing keys.
 
 Timing keys — the only fields allowed to differ — are "runs_per_sec",
 "orchestration" (the elastic orchestrator's lease/straggler report:
@@ -69,56 +60,10 @@ def check_merged(full_path, merged_path):
         f"(timing keys already excluded)")
 
 
-def sections_by_name(doc):
-    out = {}
-    for section in doc["sections"]:
-        name = section["name"]
-        if name in out:
-            raise SystemExit(f"duplicate section {name!r}")
-        out[name] = section
-    return out
-
-
-def check_shards(full_path, shard_paths):
-    full = sections_by_name(load(full_path))
-    shards = [sections_by_name(load(p)) for p in shard_paths]
-
-    failures = 0
-    for name, section in full.items():
-        parts = [s[name] for s in shards if name in s]
-        cells = sum(p["cells"] for p in parts)
-        if cells != section["cells"]:
-            print(f"FAIL {name}: shard cells sum {cells} != "
-                  f"full {section['cells']}")
-            failures += 1
-        if "rows" in section:
-            joined = [row for p in parts for row in p.get("rows", [])]
-            if joined != section["rows"]:
-                print(f"FAIL {name}: concatenated shard rows differ "
-                      f"from the unsharded rows")
-                for got, want in zip(joined, section["rows"]):
-                    if got != want:
-                        print(f"  first diff: shard {got} vs full {want}")
-                        break
-                failures += 1
-            else:
-                print(f"ok   {name}: {len(joined)} rows identical")
-        else:
-            print(f"ok   {name}: {cells} cells")
-    if failures:
-        raise SystemExit(f"{failures} section(s) failed the union check")
-    print("shard union is bit-identical to the unsharded run")
-
-
 def main():
-    if len(sys.argv) < 3:
+    if len(sys.argv) != 4 or sys.argv[2] != "--merged":
         raise SystemExit(__doc__)
-    if sys.argv[2] == "--merged":
-        if len(sys.argv) != 4:
-            raise SystemExit(__doc__)
-        check_merged(sys.argv[1], sys.argv[3])
-    else:
-        check_shards(sys.argv[1], sys.argv[2:])
+    check_merged(sys.argv[1], sys.argv[3])
 
 
 if __name__ == "__main__":

@@ -16,10 +16,10 @@
 //     and a per-cell row array of the deterministic fields so shard
 //     unions can be diffed cell-for-cell against unsharded runs.
 //
-// Because cells stream in cell order within a shard, and shards are
-// contiguous slices of the flat index space, concatenating the sink
-// output of shards 0..n-1 reproduces the unsharded output exactly
-// (modulo wall-clock fields).
+// Because cells stream in cell order within a shard, and a shard is a
+// contiguous slice of the flat index space (ShardSpec), concatenating
+// the sink output of a tiling's shards in range order reproduces the
+// unsharded output exactly (modulo wall-clock fields).
 #ifndef SETLIB_CORE_REPORT_H
 #define SETLIB_CORE_REPORT_H
 
@@ -36,40 +36,39 @@
 
 namespace setlib::core {
 
-/// A half-open shard {k, n} over a flat cell index space: shard k of n
-/// covers [total*k/n, total*(k+1)/n). Shards are contiguous and in
-/// index order, so the union of shards 0..n-1 is bit-identical to the
-/// unsharded run.
+/// A half-open slice [lo, hi) of a span-wide virtual cell space. Every
+/// real cell space of size total maps it to [total*lo/span,
+/// total*hi/span), so ranges that tile [0, span) tile every section,
+/// whatever its size (floor arithmetic maps shared boundaries to
+/// shared boundaries), and the union of a tiling is bit-identical to
+/// the unsharded run. A work queue can carve, split, and re-lease
+/// ranges without knowing any section's cell count.
 ///
-/// Lease mode (`--cells=LO..HI[/SPAN]`, the elastic work queue's
-/// worker flag) generalizes the fraction: instead of the k-th of n
-/// equal slices, the shard covers the [lo, hi) sub-range of a
-/// span-wide virtual cell space, i.e. [total*lo/span, total*hi/span)
-/// of every real space of size total. `--shard=K/N` is exactly
-/// lease {lo=K, hi=K+1, span=N}; the separate encoding exists so a
-/// work queue can carve, split, and re-lease ranges of the virtual
-/// space without knowing any section's cell count — ranges that tile
-/// [0, span) tile every section, whatever its size (floor arithmetic
-/// maps shared boundaries to shared boundaries).
+/// `--cells=LO..HI[/SPAN]` (the elastic work queue's worker flag)
+/// fills the range directly; `--shard=K/N` is sugar for {K, K+1, N}.
+/// The default {0, 1, 1} is the whole space.
 struct ShardSpec {
-  /// Default virtual-space width for lease mode; wide enough that
+  /// Default span of a bare `--cells=LO..HI`; wide enough that
   /// splitting halves stays meaningful far past any real worker count.
   static constexpr std::size_t kLeaseSpan = std::size_t{1} << 20;
+  /// Largest legal span, enforced by valid() (so by the CLI parse,
+  /// the runner, and range()) and by the merge parse. Its square fits
+  /// in 64 bits, which keeps range() overflow-free for any total.
+  static constexpr std::size_t kMaxSpan = std::size_t{1} << 30;
 
-  std::size_t k = 0;  // shard index
-  std::size_t n = 1;  // shard count
-  // Lease mode (used instead of k/n when `leased` is set).
-  bool leased = false;
   std::size_t lo = 0;
-  std::size_t hi = 0;
-  std::size_t span = kLeaseSpan;
+  std::size_t hi = 1;
+  std::size_t span = 1;
 
-  bool whole() const noexcept {
-    return leased ? (lo == 0 && hi == span) : n == 1;
+  /// 0 <= lo <= hi <= span, 1 <= span <= kMaxSpan.
+  bool valid() const noexcept {
+    return span >= 1 && span <= kMaxSpan && lo <= hi && hi <= span;
   }
-  std::string to_string() const;  // "k/n" or "lo..hi/span"
+  std::string to_string() const;  // "LO..HI/SPAN"
   /// This shard's slice of [0, total), as {begin, end}.
   std::pair<std::size_t, std::size_t> range(std::size_t total) const;
+
+  friend bool operator==(const ShardSpec&, const ShardSpec&) = default;
 };
 
 /// Facts about one executed sweep section (one runner.run call).
@@ -273,14 +272,14 @@ class JsonSink : public ReportSink {
 
 // ---------------------------------------------------------------------
 // Shard-document merging: the recombination rule behind the
-// multi-process orchestrator. Given the N parsed --shard=K/N --json
-// documents of one bench — or any set of --cells=LO..HI lease
-// documents whose ranges tile the virtual span exactly once (any
-// count, any split history, any completion order) — merge_shard_docs
-// produces the document the unsharded run would have written,
-// bit-identical modulo timing keys:
+// multi-process orchestrator. Given any set of shard documents of one
+// bench whose "LO..HI/SPAN" ranges tile the span exactly once (any
+// count, any split history, any completion order; a `--shard=K/N`
+// set is the tiling {K, K+1, N}), merge_shard_docs produces the
+// document the unsharded run would have written, bit-identical modulo
+// timing keys:
 //
-//   - grid sections: the per-cell "rows" arrays concatenate in shard
+//   - grid sections: the per-cell "rows" arrays concatenate in range
 //     order (global indices must stay strictly increasing), and every
 //     derived fact (successes, detector_ok, steps percentiles,
 //     witness_bound_p90) is recomputed from the union rows with the
@@ -291,9 +290,10 @@ class JsonSink : public ReportSink {
 //     sums and runs_per_sec is recomputed, every other timing fact is
 //     dropped — they are excluded from determinism diffs by rule.
 //
-// Inconsistent inputs (missing/duplicate shards, diverging configs,
-// mismatched section sequences) throw MergeError rather than
-// producing a silently incomplete document.
+// Inconsistent inputs (gaps or overlaps in the tiling — a missing or
+// duplicate shard —, diverging configs, mismatched section sequences)
+// throw MergeError rather than producing a silently incomplete
+// document.
 
 class MergeError : public std::runtime_error {
  public:
@@ -315,7 +315,7 @@ JsonValue strip_timing_keys(const JsonValue& value);
 /// two documents compare bytewise regardless of emission order.
 std::string canonical_json(const JsonValue& value);
 
-/// Merges the N shard documents of one bench run (any input order)
+/// Merges the shard documents of one bench run (any input order)
 /// into the unsharded document. Throws MergeError on inconsistency.
 JsonValue merge_shard_docs(const std::vector<JsonValue>& docs);
 

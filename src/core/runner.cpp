@@ -8,14 +8,7 @@ namespace setlib::core {
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
     : options_(std::move(options)), pool_(options_.threads) {
-  if (options_.shard.leased) {
-    SETLIB_EXPECTS(options_.shard.span >= 1 &&
-                   options_.shard.lo <= options_.shard.hi &&
-                   options_.shard.hi <= options_.shard.span);
-  } else {
-    SETLIB_EXPECTS(options_.shard.n >= 1 &&
-                   options_.shard.k < options_.shard.n);
-  }
+  SETLIB_EXPECTS(options_.shard.valid());
   if (options_.json_path.empty()) {
     options_.json_path = "BENCH_" + options_.name + ".json";
   }

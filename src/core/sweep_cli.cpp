@@ -83,6 +83,18 @@ bool consume_double_flag(const std::string& arg,
 
 namespace {
 
+/// One K/N/LO/HI/SPAN field: a non-negative base-10 integer (the
+/// span bound is ShardSpec::valid's).
+std::size_t parse_shard_field(const std::string& text,
+                              const std::string& flag) {
+  const long value = parse_long_value(text, flag);
+  if (value < 0) {
+    throw ContractViolation(flag + ": '" + text + "' is negative");
+  }
+  return static_cast<std::size_t>(value);
+}
+
+/// --shard=K/N: sugar for the range {K, K+1, N}.
 bool consume_shard_flag(const std::string& arg, ShardSpec* out) {
   const std::string prefix = "--shard=";
   if (arg.rfind(prefix, 0) != 0) return false;
@@ -92,14 +104,14 @@ bool consume_shard_flag(const std::string& arg, ShardSpec* out) {
     throw ContractViolation(prefix + ": expected K/N, got '" + value +
                             "'");
   }
-  const long k = parse_long_value(value.substr(0, slash), prefix);
-  const long n = parse_long_value(value.substr(slash + 1), prefix);
-  if (n < 1 || k < 0 || k >= n) {
+  const std::size_t k = parse_shard_field(value.substr(0, slash), prefix);
+  const std::size_t n = parse_shard_field(value.substr(slash + 1), prefix);
+  *out = ShardSpec{k, k + 1, n};
+  if (!out->valid()) {
     throw ContractViolation(prefix + ": shard '" + value +
-                            "' violates 0 <= K < N");
+                            "' violates 0 <= K < N <= " +
+                            std::to_string(ShardSpec::kMaxSpan));
   }
-  out->k = static_cast<std::size_t>(k);
-  out->n = static_cast<std::size_t>(n);
   return true;
 }
 
@@ -113,24 +125,20 @@ bool consume_cells_flag(const std::string& arg, ShardSpec* out) {
                             value + "'");
   }
   const std::size_t slash = value.find('/', dots + 2);
-  const long lo = parse_long_value(value.substr(0, dots), prefix);
-  const long hi = parse_long_value(
+  out->lo = parse_shard_field(value.substr(0, dots), prefix);
+  out->hi = parse_shard_field(
       slash == std::string::npos
           ? value.substr(dots + 2)
           : value.substr(dots + 2, slash - dots - 2),
       prefix);
-  long span = static_cast<long>(ShardSpec::kLeaseSpan);
-  if (slash != std::string::npos) {
-    span = parse_long_value(value.substr(slash + 1), prefix);
-  }
-  if (span < 1 || lo < 0 || lo > hi || hi > span) {
+  out->span = slash == std::string::npos
+                  ? ShardSpec::kLeaseSpan
+                  : parse_shard_field(value.substr(slash + 1), prefix);
+  if (!out->valid()) {
     throw ContractViolation(prefix + ": lease '" + value +
-                            "' violates 0 <= LO <= HI <= SPAN");
+                            "' violates 0 <= LO <= HI <= SPAN <= " +
+                            std::to_string(ShardSpec::kMaxSpan));
   }
-  out->leased = true;
-  out->lo = static_cast<std::size_t>(lo);
-  out->hi = static_cast<std::size_t>(hi);
-  out->span = static_cast<std::size_t>(span);
   return true;
 }
 
@@ -185,8 +193,8 @@ RunnerOptions parse_runner_options(int* argc, char** argv,
   }
   if (shard_given && cells_given) {
     throw ContractViolation(
-        "--shard= and --cells= are mutually exclusive: a worker is "
-        "either a static shard or a leased range, not both");
+        "--shard= and --cells= are mutually exclusive: both set the "
+        "worker's one cell range");
   }
   *argc = kept;
   return options;

@@ -6,15 +6,6 @@
 
 namespace setlib::core {
 
-ShardSpec Lease::shard(std::size_t span) const {
-  ShardSpec spec;
-  spec.leased = true;
-  spec.lo = lo;
-  spec.hi = hi;
-  spec.span = span;
-  return spec;
-}
-
 const char* lease_event_kind_name(LeaseEvent::Kind kind) noexcept {
   switch (kind) {
     case LeaseEvent::Kind::kFailed:
@@ -67,7 +58,8 @@ JsonValue WorkQueueReport::to_json() const {
 
 WorkQueue::WorkQueue(WorkQueueOptions options)
     : options_(std::move(options)) {
-  SETLIB_EXPECTS(options_.span >= 1);
+  SETLIB_EXPECTS(options_.span >= 1 &&
+                 options_.span <= ShardSpec::kMaxSpan);
   SETLIB_EXPECTS(options_.workers >= 1);
   SETLIB_EXPECTS(options_.ranges <= options_.span);
   SETLIB_EXPECTS(options_.lease_timeout.count() > 0);
@@ -84,15 +76,14 @@ WorkQueue::WorkQueue(WorkQueueOptions options)
     options_.failure_budget = 2 * initial_ranges_ + 8;
   }
 
-  // Carve [0, span) into initial_ranges_ contiguous slices with the
-  // same floor arithmetic ShardSpec::range uses, so the tiling is
-  // exact whatever the division remainder.
+  // Carve [0, span) into initial_ranges_ contiguous slices with
+  // ShardSpec::range's floor arithmetic, so the tiling is exact
+  // whatever the division remainder.
   pending_.reserve(initial_ranges_);
   for (std::size_t r = 0; r < initial_ranges_; ++r) {
-    Range range;
-    range.lo = options_.span * r / initial_ranges_;
-    range.hi = options_.span * (r + 1) / initial_ranges_;
-    if (range.lo < range.hi) pending_.push_back(range);
+    const auto [lo, hi] =
+        ShardSpec{r, r + 1, initial_ranges_}.range(options_.span);
+    if (lo < hi) pending_.push_back(Range{lo, hi});
   }
   // Workers lease low ranges first (pop from the back).
   std::reverse(pending_.begin(), pending_.end());

@@ -1,5 +1,5 @@
-// Lease-based cell scheduling: the elastic replacement for static
-// --shard=K/N slicing.
+// Lease-based cell scheduling: how the orchestrator hands cell ranges
+// to worker processes.
 //
 // The global cell space is virtual here: WorkQueue carves the
 // half-open interval [0, span) — span = ShardSpec::kLeaseSpan unless
@@ -53,7 +53,8 @@ using WorkQueueClock =
     std::function<std::chrono::steady_clock::time_point()>;
 
 struct WorkQueueOptions {
-  /// Width of the virtual cell space the queue schedules.
+  /// Width of the virtual cell space the queue schedules, at most
+  /// ShardSpec::kMaxSpan.
   std::size_t span = ShardSpec::kLeaseSpan;
   /// Initial range count (the queue's scheduling granularity);
   /// 0 = auto: max(8, 8 * workers), capped at span.
@@ -86,8 +87,6 @@ struct Lease {
   std::chrono::steady_clock::time_point deadline;
 
   std::size_t width() const noexcept { return hi - lo; }
-  /// The lease as a worker ShardSpec (--cells=LO..HI[/SPAN]).
-  ShardSpec shard(std::size_t span) const;
 };
 
 /// One entry in the queue's event log (the orchestration report).

@@ -1,12 +1,12 @@
-// core::orchestrate and core::orchestrate_elastic: the multi-process
-// drivers. Fake "bench" shell scripts stand in for the real binaries
-// so the tests can exercise the failure paths cheaply: a healthy
-// fleet merges, a child killed mid-run is retried (static) or its
-// lease resharded (elastic), a permanently failing worker is reported
-// with its stderr — never silently dropped — and a hung child is
-// timed out. The elastic chaos tests SIGKILL random workers and
-// assert the merged document stays bit-identical to the unsharded
-// reference anyway.
+// core::orchestrate_elastic: the multi-process driver. Fake "bench"
+// shell scripts stand in for the real binaries so the tests can
+// exercise the failure paths cheaply: a healthy fleet merges, a child
+// killed mid-run has its lease resharded, a worker that writes no
+// document, writes garbage, or hangs past its lease fails that lease
+// and is named in the summary, and a permanently failing fleet aborts
+// with its stderr — never silently dropped. The chaos tests SIGKILL
+// random workers and assert the merged document stays bit-identical
+// to the unsharded reference anyway.
 #include "src/core/orchestrator.h"
 
 #include <gtest/gtest.h>
@@ -50,45 +50,6 @@ class OrchestratorTest : public ::testing::Test {
     return path.string();
   }
 
-  /// Script prologue: extracts --shard=K/N and --json=PATH (the
-  /// orchestrator appends them after the forwarded args) into
-  /// $shard, $k, $out.
-  std::string parse_args() const {
-    return R"(for a in "$@"; do
-  case "$a" in
-    --shard=*) shard=${a#--shard=} ;;
-    --json=*) out=${a#--json=} ;;
-  esac
-done
-k=${shard%/*}
-)";
-  }
-
-  /// Script epilogue: writes a minimal valid shard document with
-  /// k+1 cells in its one hand-fed section.
-  std::string write_doc() const {
-    return R"(cells=$((k+1))
-cat > "$out" <<EOF
-{"bench": "fake", "threads": 1, "repeat": 1, "shard": "$shard",
- "sections": [{"name": "s", "cells": $cells, "wall_seconds": 0.5,
-               "runs_per_sec": 0}],
- "total_cells": $cells, "total_wall_seconds": 0.5, "runs_per_sec": 0}
-EOF
-)";
-  }
-
-  OrchestratorOptions base_options(const std::string& bench) const {
-    OrchestratorOptions options;
-    options.bench = bench;
-    options.shards = 3;
-    options.workers = 2;
-    options.retries = 0;
-    options.timeout = std::chrono::seconds(60);
-    options.shard_dir = (dir_ / "shards").string();
-    options.backoff.base = std::chrono::milliseconds(1);
-    return options;
-  }
-
   /// Script prologue for elastic workers: extracts --cells=LO..HI and
   /// --json=PATH into $lease, $lo, $hi, $out.
   std::string parse_cells() const {
@@ -122,9 +83,8 @@ EOF
 )";
   }
 
-  ElasticOrchestratorOptions elastic_options(
-      const std::string& bench) const {
-    ElasticOrchestratorOptions options;
+  ElasticOptions elastic_options(const std::string& bench) const {
+    ElasticOptions options;
     options.bench = bench;
     options.workers = 2;
     options.ranges = 4;
@@ -159,104 +119,6 @@ EOF
   std::filesystem::path dir_;
 };
 
-TEST_F(OrchestratorTest, HealthyFleetMergesAndShardsOutliveTheMerge) {
-  const std::string bench =
-      write_script("happy.sh", parse_args() + write_doc());
-  OrchestratorOptions options = base_options(bench);
-  options.bench_args = {"--ignored-extra-arg"};
-  const OrchestrationResult result = orchestrate(options);
-  ASSERT_TRUE(result.ok()) << result.summary();
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_EQ(shard.attempts, 1);
-    EXPECT_TRUE(shard.ok);
-  }
-  // cells 1 + 2 + 3 across the shards.
-  EXPECT_EQ(result.merged.at("total_cells").as_int(), 6);
-  EXPECT_EQ(result.merged.at("shard").as_string(), "0/1");
-  // orchestrate() never deletes the shard documents — they are the
-  // run's only output until the caller persists the merged doc.
-  // Cleanup is the explicit remove_shard_documents step.
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_TRUE(std::filesystem::exists(shard.json_path));
-  }
-  remove_shard_documents(options, result);
-  EXPECT_FALSE(std::filesystem::exists(options.shard_dir));
-}
-
-TEST_F(OrchestratorTest, KilledChildIsRetriedNotDropped) {
-  // First attempt of every shard dies on SIGKILL; the retry succeeds.
-  const std::string bench = write_script(
-      "flaky.sh",
-      parse_args() + "marker=\"" + dir_.string() +
-          "/died_$k\"\n"
-          "if [ ! -e \"$marker\" ]; then : > \"$marker\"; kill -9 $$; fi\n" +
-          write_doc());
-  OrchestratorOptions options = base_options(bench);
-  options.retries = 1;
-  const OrchestrationResult result = orchestrate(options);
-  ASSERT_TRUE(result.ok()) << result.summary();
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_EQ(shard.attempts, 2);  // the crash is recorded, then retried
-    EXPECT_TRUE(shard.ok);
-  }
-  EXPECT_EQ(result.merged.at("total_cells").as_int(), 6);
-}
-
-TEST_F(OrchestratorTest, PermanentFailureIsReportedWithStderr) {
-  const std::string bench =
-      write_script("broken.sh", "echo boom >&2\nexit 3\n");
-  OrchestratorOptions options = base_options(bench);
-  options.retries = 1;
-  const OrchestrationResult result = orchestrate(options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_TRUE(result.merged.is_null());  // no silently incomplete merge
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_FALSE(shard.ok);
-    EXPECT_EQ(shard.attempts, 2);
-    // The failure report names the losing attempt.
-    EXPECT_EQ(shard.error, "attempt 2/2: exit 3");
-    EXPECT_NE(shard.last.err.find("boom"), std::string::npos);
-  }
-  const std::string summary = result.summary();
-  EXPECT_NE(summary.find("FAILED"), std::string::npos);
-  EXPECT_NE(summary.find("boom"), std::string::npos);
-}
-
-TEST_F(OrchestratorTest, SilentWorkerWithoutDocumentIsAFailure) {
-  const std::string bench = write_script("silent.sh", "exit 0\n");
-  const OrchestrationResult result = orchestrate(base_options(bench));
-  EXPECT_FALSE(result.ok());
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_FALSE(shard.ok);
-    EXPECT_NE(shard.error.find("wrote no"), std::string::npos);
-  }
-}
-
-TEST_F(OrchestratorTest, UnparsableDocumentIsAFailure) {
-  const std::string bench = write_script(
-      "garbage.sh", parse_args() + "echo 'not json' > \"$out\"\n");
-  const OrchestrationResult result = orchestrate(base_options(bench));
-  EXPECT_FALSE(result.ok());
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_NE(shard.error.find("unparsable"), std::string::npos);
-  }
-}
-
-TEST_F(OrchestratorTest, HungChildIsTimedOut) {
-  const std::string bench = write_script("hang.sh", "sleep 60\n");
-  OrchestratorOptions options = base_options(bench);
-  options.timeout = std::chrono::milliseconds(300);
-  const auto start = std::chrono::steady_clock::now();
-  const OrchestrationResult result = orchestrate(options);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_FALSE(result.ok());
-  EXPECT_LT(elapsed, std::chrono::seconds(30));
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_TRUE(shard.last.timed_out);
-    EXPECT_NE(shard.error.find("timed out"), std::string::npos);
-  }
-}
-
 TEST_F(OrchestratorTest, BackoffDelayIsDeterministicAndBounded) {
   BackoffOptions options;
   options.base = std::chrono::milliseconds(200);
@@ -287,33 +149,17 @@ TEST_F(OrchestratorTest, BackoffDelayIsDeterministicAndBounded) {
   EXPECT_EQ(backoff_delay(off, 1, 5).count(), 0);
 }
 
-TEST_F(OrchestratorTest, KeepShardsPreservesTheShardDocuments) {
-  const std::string bench =
-      write_script("happy.sh", parse_args() + write_doc());
-  OrchestratorOptions options = base_options(bench);
-  options.keep_shards = true;
-  const OrchestrationResult result = orchestrate(options);
-  ASSERT_TRUE(result.ok()) << result.summary();
-  for (int k = 0; k < options.shards; ++k) {
-    EXPECT_TRUE(std::filesystem::exists(
-        options.shard_dir + "/shard_" + std::to_string(k) + ".json"));
-  }
-}
-
-// ---------------------------------------------------------------------
-// The elastic work-queue orchestrator.
-
 TEST_F(OrchestratorTest, ElasticHealthyFleetMergesBitIdentical) {
   const std::string bench =
       write_script("happy.sh", parse_cells() + write_lease_doc());
-  ElasticOrchestratorOptions options = elastic_options(bench);
+  ElasticOptions options = elastic_options(bench);
   const ElasticResult result = orchestrate_elastic(options);
   ASSERT_TRUE(result.ok()) << result.summary();
   EXPECT_EQ(result.queue.leases_issued, 4u);
   EXPECT_EQ(result.queue.leases_completed, 4u);
   EXPECT_EQ(result.queue.leases_failed, 0u);
   EXPECT_EQ(result.merged.at("total_cells").as_int(), 32);
-  EXPECT_EQ(result.merged.at("shard").as_string(), "0/1");
+  EXPECT_EQ(result.merged.at("shard").as_string(), ShardSpec{}.to_string());
   // The scheduler's accounting rides in the merged document, under a
   // timing key.
   const JsonValue& orch = result.merged.at("orchestration");
@@ -339,7 +185,7 @@ TEST_F(OrchestratorTest, ElasticRandomKillsReshardAndMergeBitIdentical) {
           dir_.string() +
           "/kill_$n\" 2>/dev/null; then kill -9 $$; fi\ndone\n" +
           write_lease_doc());
-  ElasticOrchestratorOptions options = elastic_options(bench);
+  ElasticOptions options = elastic_options(bench);
   options.workers = 3;
   options.ranges = 6;
   const ElasticResult result = orchestrate_elastic(options);
@@ -358,7 +204,7 @@ TEST_F(OrchestratorTest, ElasticChaosTransportKillForcesReshard) {
   // the sleep keeps the victim alive long enough to be caught.
   const std::string bench = write_script(
       "slow_start.sh", parse_cells() + "sleep 0.2\n" + write_lease_doc());
-  ElasticOrchestratorOptions options = elastic_options(bench);
+  ElasticOptions options = elastic_options(bench);
   runtime::LocalExecTransport local;
   runtime::ChaosKillTransport chaos(local, 1,
                                     std::chrono::milliseconds(0));
@@ -382,7 +228,7 @@ TEST_F(OrchestratorTest, ElasticStragglerIsSupersededAndDiscarded) {
       "straggler.sh",
       parse_cells() + "if mkdir \"" + dir_.string() +
           "/slow\" 2>/dev/null; then sleep 1; fi\n" + write_lease_doc());
-  ElasticOrchestratorOptions options = elastic_options(bench);
+  ElasticOptions options = elastic_options(bench);
   options.ranges = 2;
   options.straggler_factor = 2.0;
   options.straggler_min = std::chrono::milliseconds(50);
@@ -400,7 +246,7 @@ TEST_F(OrchestratorTest, ElasticStragglerIsSupersededAndDiscarded) {
 TEST_F(OrchestratorTest, ElasticFailureBudgetAbortsThePoisonedRun) {
   const std::string bench =
       write_script("broken.sh", "echo doomed >&2\nexit 3\n");
-  ElasticOrchestratorOptions options = elastic_options(bench);
+  ElasticOptions options = elastic_options(bench);
   options.failure_budget = 2;
   const ElasticResult result = orchestrate_elastic(options);
   EXPECT_FALSE(result.ok());
@@ -410,6 +256,60 @@ TEST_F(OrchestratorTest, ElasticFailureBudgetAbortsThePoisonedRun) {
   const std::string summary = result.summary();
   EXPECT_NE(summary.find("ABORTED"), std::string::npos);
   EXPECT_NE(summary.find("doomed"), std::string::npos);
+}
+
+/// Expects a run whose every lease failed: no merge, the budget
+/// spent, and each failed lease named in the summary with `error`.
+void expect_failed_leases(const ElasticResult& result,
+                          const std::string& error) {
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.merged.is_null());  // never reaches the merge
+  EXPECT_EQ(result.queue.leases_completed, 0u);
+  ASSERT_FALSE(result.leases.empty());
+  const std::string summary = result.summary();
+  for (const LeaseRun& run : result.leases) {
+    EXPECT_FALSE(run.ok);
+    EXPECT_FALSE(run.accepted);
+    EXPECT_NE(run.error.find(error), std::string::npos) << run.error;
+    EXPECT_NE(summary.find("lease " + std::to_string(run.lease) + " [" +
+                           std::to_string(run.lo) + ".." +
+                           std::to_string(run.hi) + ") worker " +
+                           std::to_string(run.worker) + " FAILED: "),
+              std::string::npos)
+        << summary;
+  }
+}
+
+TEST_F(OrchestratorTest, SilentWorkerWithoutDocumentIsAFailure) {
+  const std::string bench = write_script("silent.sh", "exit 0\n");
+  ElasticOptions options = elastic_options(bench);
+  options.failure_budget = 2;
+  expect_failed_leases(orchestrate_elastic(options), "wrote no");
+}
+
+TEST_F(OrchestratorTest, UnparsableDocumentIsAFailure) {
+  const std::string bench = write_script(
+      "garbage.sh", parse_cells() + "echo 'not json' > \"$out\"\n");
+  ElasticOptions options = elastic_options(bench);
+  options.failure_budget = 2;
+  expect_failed_leases(orchestrate_elastic(options), "unparsable");
+}
+
+TEST_F(OrchestratorTest, HungChildIsTimedOut) {
+  // The lease timeout doubles as the child's transport timeout, so a
+  // hung child is killed instead of holding its lease forever.
+  const std::string bench = write_script("hang.sh", "sleep 60\n");
+  ElasticOptions options = elastic_options(bench);
+  options.lease_timeout = std::chrono::milliseconds(300);
+  options.failure_budget = 2;
+  const auto start = std::chrono::steady_clock::now();
+  const ElasticResult result = orchestrate_elastic(options);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(30));
+  expect_failed_leases(result, "timed out");
+  for (const LeaseRun& run : result.leases) {
+    EXPECT_TRUE(run.last.timed_out);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The shard-document merge behind the multi-process orchestrator:
-// merging the N --shard=K/N JSON documents must reproduce the
-// unsharded document bit-identically modulo timing keys, for grid and
-// hand-fed sections alike; inconsistent inputs must throw MergeError,
+// merging JSON documents whose ranges tile the span (N --shard=K/N
+// runs, or any --cells=LO..HI tiling) must reproduce the unsharded
+// document bit-identically modulo timing keys, for grid and hand-fed
+// sections alike; inconsistent inputs must throw MergeError,
 // never produce a silently incomplete document. Also pins the
 // JsonSink emission contract the merge depends on (escaping,
 // non-finite -> null, schema-consistent percentile keys).
@@ -33,37 +34,14 @@ SweepGrid small_grid() {
   return grid;  // 6 cells
 }
 
-/// Renders the document a bench invoked with --shard=k/n would write:
-/// one grid section plus one hand-fed section with a summed and an
-/// invariant annotation.
-JsonValue bench_doc(std::size_t k, std::size_t n) {
+/// Renders the document a bench invoked with --cells=LO..HI/SPAN
+/// would write: one grid section plus one hand-fed section with a
+/// summed and an invariant annotation.
+JsonValue bench_doc(ShardSpec shard) {
   RunnerOptions options;
   options.name = "merge_test";
   options.threads = 2;
-  options.shard = {k, n};
-  ExperimentRunner runner(options);
-  JsonSink json = runner.json_sink();
-
-  runner.run(small_grid(), "grid_section", {&json});
-
-  const auto [begin, end] = runner.shard_range(10);
-  json.section("hand_fed", end - begin, 0.25,
-               {{"successes", static_cast<double>(end - begin)}});
-  json.annotate("mismatches", k == 0 ? 1.0 : 0.0);  // shard-local count
-  json.annotate("invariant_fact", 7.0, MergeRule::kSame);
-  return JsonValue::parse(json.render());
-}
-
-/// The same bench document for a --cells=LO..HI[/SPAN] lease worker.
-JsonValue bench_lease_doc(std::size_t lo, std::size_t hi,
-                          std::size_t span = ShardSpec::kLeaseSpan) {
-  RunnerOptions options;
-  options.name = "merge_test";
-  options.threads = 2;
-  options.shard.leased = true;
-  options.shard.lo = lo;
-  options.shard.hi = hi;
-  options.shard.span = span;
+  options.shard = shard;
   ExperimentRunner runner(options);
   JsonSink json = runner.json_sink();
 
@@ -73,9 +51,14 @@ JsonValue bench_lease_doc(std::size_t lo, std::size_t hi,
   json.section("hand_fed", end - begin, 0.25,
                {{"successes", static_cast<double>(end - begin)}});
   json.annotate("mismatches",
-                lo == 0 ? 1.0 : 0.0);  // lease-local count
+                shard.lo == 0 ? 1.0 : 0.0);  // shard-local count
   json.annotate("invariant_fact", 7.0, MergeRule::kSame);
   return JsonValue::parse(json.render());
+}
+
+/// The document of --shard=K/N, i.e. of the range {K, K+1, N}.
+JsonValue bench_doc(std::size_t k, std::size_t n) {
+  return bench_doc(ShardSpec{k, k + 1, n});
 }
 
 std::string comparable(const JsonValue& doc) {
@@ -90,7 +73,7 @@ TEST(MergeShardDocsTest, OneTwoAndThreeWayMergesMatchTheUnshardedDoc) {
     const JsonValue merged = merge_shard_docs(shards);
     EXPECT_EQ(comparable(merged), comparable(full))
         << "merge of " << n << " shards diverged";
-    EXPECT_EQ(merged.at("shard").as_string(), "0/1");
+    EXPECT_EQ(merged.at("shard").as_string(), ShardSpec{}.to_string());
   }
 }
 
@@ -178,13 +161,13 @@ TEST(MergeShardDocsTest, DivergingConfigIsAnError) {
 
 TEST(MergeShardDocsTest, DisagreeingInvariantKeyIsAnError) {
   const std::string shard0 =
-      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "0/2",
+      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "0..1/2",
           "sections": [{"name": "s", "cells": 1, "wall_seconds": 0,
                         "runs_per_sec": 0, "same_keys": ["inv"],
                         "inv": 7}],
           "total_cells": 1, "total_wall_seconds": 0, "runs_per_sec": 0})";
   const std::string shard1 =
-      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "1/2",
+      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "1..2/2",
           "sections": [{"name": "s", "cells": 1, "wall_seconds": 0,
                         "runs_per_sec": 0, "same_keys": ["inv"],
                         "inv": 8}],
@@ -206,10 +189,14 @@ TEST(MergeShardDocsTest, EmptyInputIsAnError) {
 }
 
 TEST(MergeShardDocsTest, MalformedShardFieldIsAnError) {
-  // stoul-style parsing would read "1e1" as 1 and defeat the
-  // missing/duplicate-shard detection.
+  // stoul-style parsing would read "1e1" as 1 and defeat the gap and
+  // overlap detection; a K/N field is CLI sugar, never a document's.
   const JsonValue b = bench_doc(1, 2);
-  for (const char* bad : {"1e1/2", "0 /2", "+0/2", "0/2x", "/2", "0/"}) {
+  const std::string past = std::to_string(ShardSpec::kMaxSpan + 1);
+  for (const std::string& bad : std::vector<std::string>{
+           "1e1..1/2", "0 ..1/2", "+0..1/2", "0..1/2x", "..1/2", "0../2",
+           "0..1/", "0..1", "0/2", "0..1/" + past,
+           "0..1/99999999999999999999"}) {
     JsonValue a = bench_doc(0, 2);
     a.set("shard", JsonValue::of(bad));
     EXPECT_THROW(merge_shard_docs({a, b}), MergeError) << bad;
@@ -217,42 +204,31 @@ TEST(MergeShardDocsTest, MalformedShardFieldIsAnError) {
 }
 
 TEST(MergeShardDocsTest, LeaseDocsMergeBitIdenticalToTheUnshardedDoc) {
-  // Any set of lease documents whose ranges tile the virtual span —
-  // any count, uneven widths, shuffled completion order — merges to
-  // the unsharded document, and to the same document the static K/N
-  // merge produces.
-  const JsonValue full = bench_doc(0, 1);
+  // Any set of documents whose ranges tile the virtual span — any
+  // count, uneven widths, shuffled completion order — merges to the
+  // unsharded document.
+  const JsonValue full = bench_doc(ShardSpec{});
   const std::size_t span = ShardSpec::kLeaseSpan;
 
   // A single whole-span lease is the unsharded run.
-  EXPECT_EQ(comparable(merge_shard_docs({bench_lease_doc(0, span)})),
+  EXPECT_EQ(comparable(merge_shard_docs({bench_doc({0, span, span})})),
             comparable(full));
 
   // An uneven three-way tiling, given out of order (as an elastic run
   // with resharding would produce).
   std::vector<JsonValue> leases;
-  leases.push_back(bench_lease_doc(700'000, span));
-  leases.push_back(bench_lease_doc(0, 100'000));
-  leases.push_back(bench_lease_doc(100'000, 700'000));
+  leases.push_back(bench_doc({700'000, span, span}));
+  leases.push_back(bench_doc({0, 100'000, span}));
+  leases.push_back(bench_doc({100'000, 700'000, span}));
   const JsonValue merged = merge_shard_docs(leases);
   EXPECT_EQ(comparable(merged), comparable(full));
-  EXPECT_EQ(merged.at("shard").as_string(), "0/1");
-
-  // --shard=K/N is exactly lease {K, K+1, N}.
-  std::vector<JsonValue> as_leases;
-  std::vector<JsonValue> as_shards;
-  for (std::size_t k = 0; k < 3; ++k) {
-    as_leases.push_back(bench_lease_doc(k, k + 1, 3));
-    as_shards.push_back(bench_doc(k, 3));
-  }
-  EXPECT_EQ(comparable(merge_shard_docs(as_leases)),
-            comparable(merge_shard_docs(as_shards)));
+  EXPECT_EQ(merged.at("shard").as_string(), ShardSpec{}.to_string());
 }
 
 TEST(MergeShardDocsTest, LeaseTilingViolationsAreErrors) {
   const std::size_t span = ShardSpec::kLeaseSpan;
-  auto lease = [](std::size_t lo, std::size_t hi) {
-    return bench_lease_doc(lo, hi);
+  auto lease = [span](std::size_t lo, std::size_t hi) {
+    return bench_doc({lo, hi, span});
   };
   // A gap means a lost lease...
   EXPECT_THROW(merge_shard_docs({lease(0, 1'000), lease(2'000, span)}),
@@ -265,18 +241,11 @@ TEST(MergeShardDocsTest, LeaseTilingViolationsAreErrors) {
   EXPECT_THROW(merge_shard_docs({lease(0, 1'000)}), MergeError);
   EXPECT_THROW(merge_shard_docs({lease(1'000, span)}), MergeError);
   // Documents must agree on the span.
-  EXPECT_THROW(merge_shard_docs({bench_lease_doc(0, 512, 1'024),
-                                 bench_lease_doc(512, 2'048, 2'048)}),
+  EXPECT_THROW(merge_shard_docs({bench_doc({0, 512, 1'024}),
+                                 bench_doc({512, 2'048, 2'048})}),
                MergeError);
   // An empty lease range is malformed, not a harmless no-op.
-  EXPECT_THROW(
-      merge_shard_docs({bench_lease_doc(0, 5), bench_lease_doc(5, 5),
-                        bench_lease_doc(5, span)}),
-      MergeError);
-  // Lease and static documents never mix, in either order.
-  EXPECT_THROW(merge_shard_docs({lease(0, span), bench_doc(0, 2)}),
-               MergeError);
-  EXPECT_THROW(merge_shard_docs({bench_doc(0, 2), lease(0, span)}),
+  EXPECT_THROW(merge_shard_docs({lease(0, 5), lease(5, 5), lease(5, span)}),
                MergeError);
 }
 
@@ -309,7 +278,7 @@ TEST(JsonSinkContractTest, EmptyShardGridSectionsKeepThePercentileKeys) {
   RunnerOptions options;
   options.name = "empty_shard";
   options.threads = 1;
-  options.shard = {6, 8};
+  options.shard = {6, 7, 8};
   ExperimentRunner runner(options);
   JsonSink json = runner.json_sink();
   SweepGrid grid;

@@ -8,6 +8,7 @@
 
 #include <climits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/assert.h"
@@ -30,8 +31,7 @@ TEST(SweepCliTest, ParsesAndStripsTheSharedFlags) {
              "--json=out.json"});
   EXPECT_EQ(options.threads, 4);
   EXPECT_EQ(options.repeat, 3);
-  EXPECT_EQ(options.shard.k, 1u);
-  EXPECT_EQ(options.shard.n, 3u);
+  EXPECT_EQ(options.shard, (ShardSpec{1, 2, 3}));
   EXPECT_EQ(options.grain, 16u);
   EXPECT_TRUE(options.json);
   EXPECT_EQ(options.json_path, "out.json");
@@ -83,18 +83,20 @@ TEST(SweepCliTest, ShardFlagValidatesItsShape) {
                ContractViolation);
 }
 
+TEST(SweepCliTest, ShardFlagIsSugarForTheCellsRange) {
+  EXPECT_EQ(parse({"--shard=1/3"}).shard, parse({"--cells=1..2/3"}).shard);
+  EXPECT_EQ(parse({"--shard=1/3"}).shard.to_string(), "1..2/3");
+}
+
 TEST(SweepCliTest, CellsFlagParsesLeases) {
   // Bare LO..HI rides on the default virtual span.
   RunnerOptions options = parse({"--cells=1024..4096"});
-  EXPECT_TRUE(options.shard.leased);
   EXPECT_EQ(options.shard.lo, 1024u);
   EXPECT_EQ(options.shard.hi, 4096u);
   EXPECT_EQ(options.shard.span, ShardSpec::kLeaseSpan);
   EXPECT_EQ(options.shard.to_string(), "1024..4096/1048576");
-  EXPECT_FALSE(options.shard.whole());
   // An explicit span travels after the slash.
   options = parse({"--cells=2..6/8"});
-  EXPECT_TRUE(options.shard.leased);
   EXPECT_EQ(options.shard.lo, 2u);
   EXPECT_EQ(options.shard.hi, 6u);
   EXPECT_EQ(options.shard.span, 8u);
@@ -104,7 +106,8 @@ TEST(SweepCliTest, CellsFlagParsesLeases) {
   EXPECT_EQ(begin, 2u);
   EXPECT_EQ(end, 7u);
   // The whole span is the unsharded run.
-  EXPECT_TRUE(parse({"--cells=0..8/8"}).shard.whole());
+  EXPECT_EQ(parse({"--cells=0..8/8"}).shard.range(10),
+            (std::pair<std::size_t, std::size_t>{0, 10}));
 }
 
 TEST(SweepCliTest, CellsFlagValidatesItsShape) {
@@ -116,6 +119,21 @@ TEST(SweepCliTest, CellsFlagValidatesItsShape) {
   EXPECT_THROW(parse({"--cells=0..4x"}), ContractViolation);
   EXPECT_THROW(parse({"--cells=..4"}), ContractViolation);
   EXPECT_THROW(parse({"--cells=0../8"}), ContractViolation);
+}
+
+TEST(SweepCliTest, SpansPastTheBoundAreRejected) {
+  // ShardSpec::range is overflow-free only up to kMaxSpan, so the CLI
+  // rejects any wider span instead of running a wrong slice.
+  EXPECT_THROW(
+      parse({"--cells=0..9223372036854775807/9223372036854775807"}),
+      ContractViolation);
+  const std::string max = std::to_string(ShardSpec::kMaxSpan);
+  const std::string past = std::to_string(ShardSpec::kMaxSpan + 1);
+  EXPECT_THROW(parse({"--cells=0.." + past + "/" + past}),
+               ContractViolation);
+  EXPECT_THROW(parse({"--shard=0/" + past}), ContractViolation);
+  EXPECT_EQ(parse({"--cells=0.." + max + "/" + max}).shard.span,
+            ShardSpec::kMaxSpan);
 }
 
 TEST(SweepCliTest, ShardAndCellsAreMutuallyExclusive) {

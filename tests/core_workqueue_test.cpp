@@ -256,21 +256,18 @@ TEST(WorkQueueTest, WidthOneRangeRequeuesWithoutSplitting) {
 }
 
 TEST(WorkQueueTest, LeaseShardMatchesTheCellsFlagSemantics) {
-  Lease lease;
-  lease.lo = 16;
-  lease.hi = 32;
-  const ShardSpec spec = lease.shard(64);
-  EXPECT_TRUE(spec.leased);
+  Fixture fx;
+  WorkQueue queue(fx.options);
+  queue.acquire(0);
+  const auto lease = queue.acquire(1);  // the second of 4 ranges
+  ASSERT_TRUE(lease.has_value());
+  // The worker runs the lease as --cells=16..32/64, which is
+  // [total*lo/span, total*hi/span) of every real cell space.
+  const ShardSpec spec{lease->lo, lease->hi, queue.span()};
   EXPECT_EQ(spec.to_string(), "16..32/64");
-  // [total*lo/span, total*hi/span) of a 128-cell space.
   const auto [begin, end] = spec.range(128);
   EXPECT_EQ(begin, 32u);
   EXPECT_EQ(end, 64u);
-  EXPECT_FALSE(spec.whole());
-  Lease whole;
-  whole.lo = 0;
-  whole.hi = 64;
-  EXPECT_TRUE(whole.shard(64).whole());
 }
 
 TEST(WorkQueueTest, ReportRendersItsAccountingAsJson) {

@@ -5,9 +5,10 @@
 // operator new with a counting one. A cell run at 10x the step budget
 // must not make more than a small constant number of extra
 // allocations: the step loop (Simulator -> ProcessRuntime ->
-// SimMemory -> program coroutines, and the schedule generators) makes
-// none per step, and what remains grows with log(steps) (vector
-// doublings of the executed schedule) or not at all.
+// SimMemory -> program coroutines, the schedule generators, and the
+// detector's stop predicate) makes none per step, and what remains
+// grows with log(steps) (vector doublings of the executed schedule)
+// or not at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "src/core/engine.h"
+#include "src/core/experiments.h"
 #include "src/shm/value.h"
 #include "src/util/assert.h"
 
@@ -101,6 +103,30 @@ TEST(StepLoopAllocationTest, ReactiveCellIsFlatInSteps) {
 TEST(StepLoopAllocationTest, BudgetCrasherCellIsFlatInSteps) {
   // Crash source polled on every pull, plus a mid-run crash.
   expect_flat(cell(core::ScheduleFamily::kBudgetCrasher, {2, 2, 5}, 2, 3));
+}
+
+/// Allocations made by one detector-only run at `steps`. The window
+/// is out of reach, so KAntiOmega::stabilized — the run's stop
+/// predicate, checked every 64 steps — polls until the budget ends.
+std::int64_t detector_allocations(std::int64_t steps) {
+  core::DetectorRunConfig cfg;
+  cfg.seed = 7;
+  cfg.max_steps = steps;
+  cfg.stabilization_window = std::int64_t{1} << 40;
+  const std::int64_t before = allocations();
+  const core::DetectorRunResult result =
+      core::run_detector_convergence(cfg);
+  const std::int64_t used = allocations() - before;
+  EXPECT_EQ(result.steps, steps);
+  EXPECT_FALSE(result.stabilized);
+  return used;
+}
+
+TEST(StepLoopAllocationTest, DetectorRunStopChecksAreFlatInSteps) {
+  const std::int64_t small = detector_allocations(10'000);
+  const std::int64_t large = detector_allocations(100'000);
+  EXPECT_LE(large - small, kGrowthSlack)
+      << "10k steps: " << small << " allocations, 100k steps: " << large;
 }
 
 // ---------------------------------------------------------------------

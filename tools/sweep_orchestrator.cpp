@@ -1,13 +1,13 @@
 // sweep_orchestrator: multi-process driver for the bench binaries.
 //
-// Default mode is the elastic work queue: the virtual cell space is
-// carved into many small ranges, M worker loops lease ranges with
-// deadlines and run `--cells=LO..HI --json=<shard-dir>/lease_<id>.json`
-// children through the runtime::Transport seam; a crashed, hung, or
-// straggling worker's lease is split, requeued, and re-leased, and the
-// accepted lease documents merge into one --out document bit-identical
-// (modulo timing keys) to the unsharded `--json` run. The merged
-// document carries the scheduler's accounting under the top-level
+// An elastic work queue: the virtual cell space is carved into many
+// small ranges, M worker loops lease ranges with deadlines and run
+// `--cells=LO..HI --json=<shard-dir>/lease_<id>.json` children
+// through the runtime::Transport seam; a crashed, hung, or straggling
+// worker's lease is split, requeued, and re-leased, and the accepted
+// lease documents merge into one --out document bit-identical (modulo
+// timing keys) to the unsharded `--json` run. The merged document
+// carries the scheduler's accounting under the top-level
 // "orchestration" key (a timing key).
 //
 //   sweep_orchestrator <bench> [--workers=M] [--ranges=R]
@@ -19,13 +19,6 @@
 //                      [--shard-dir=DIR] [--keep-shards]
 //                      [-- <args forwarded to every worker>]
 //
-// Giving --shards=N selects the legacy static partition instead: the N
-// `--shard=K/N` children with bounded per-shard retries.
-//
-//   sweep_orchestrator <bench> --shards=N [--workers=M] [--retries=R]
-//                      [--timeout=SECONDS] [--out=PATH]
-//                      [--shard-dir=DIR] [--keep-shards] [-- args]
-//
 // The chaos flags wrap the transport in runtime::ChaosKillTransport,
 // SIGKILLing the N-th launched child after a delay — the CI fixture
 // proving that a murdered worker costs nothing but a reshard.
@@ -34,7 +27,8 @@
 //
 //   sweep_orchestrator --merge-only --out=PATH SHARD.json...
 //
-// which merges already-written shard or lease documents.
+// which merges already-written shard documents (--cells or --shard
+// runs whose ranges tile the span).
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -63,18 +57,14 @@ constexpr const char* kUsage = R"(usage:
                      [--chaos-kill-delay-ms=MS] [--out=PATH]
                      [--shard-dir=DIR] [--keep-shards]
                      [-- <args forwarded to workers>]
-  sweep_orchestrator <bench> --shards=N [--workers=M] [--retries=R]
-                     [--timeout=SECONDS] [--out=PATH] [--shard-dir=DIR]
-                     [--keep-shards] [-- <args forwarded to workers>]
   sweep_orchestrator --merge-only [--out=PATH] SHARD.json...
 
-Default: the elastic work queue — M worker loops lease --cells=LO..HI
-ranges with deadlines; dead, hung, or straggling workers have their
-leases split and re-leased. --shards=N selects the legacy static
---shard=K/N partition with per-shard retries. Either way the merged
---out document (default MERGED.json) is bit-identical, modulo timing
-keys, to the unsharded --json run. --merge-only skips the launching
-and merges already-written shard documents.
+M worker loops (default 3) lease --cells=LO..HI ranges with
+deadlines; dead, hung, or straggling workers have their leases split
+and re-leased. The merged --out document (default MERGED.json) is
+bit-identical, modulo timing keys, to the unsharded --json run.
+--merge-only skips the launching and merges already-written shard
+documents whose ranges tile the span.
 )";
 
 int fail_usage(const std::string& message) {
@@ -133,11 +123,7 @@ int merge_only(const std::string& out_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Both modes' knobs are parsed up front; --shards= decides which set
-  // applies.
-  core::OrchestratorOptions static_options;
-  core::ElasticOrchestratorOptions elastic_options;
-  static_options.shards = 0;  // 0 = elastic mode (the default)
+  core::ElasticOptions options;
   std::string out_path = "MERGED.json";
   bool merge_only_mode = false;
   int chaos_kill_nth = 0;
@@ -150,9 +136,7 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       if (arg == "--") {
         // Everything after -- goes to the workers verbatim.
-        for (++i; i < argc; ++i) {
-          static_options.bench_args.push_back(argv[i]);
-        }
+        for (++i; i < argc; ++i) options.bench_args.push_back(argv[i]);
         break;
       }
       if (arg == "--merge-only") {
@@ -160,35 +144,19 @@ int main(int argc, char** argv) {
         continue;
       }
       if (arg == "--keep-shards") {
-        static_options.keep_shards = true;
-        elastic_options.keep_shards = true;
+        options.keep_shards = true;
         continue;
       }
-      if (core::consume_int_flag(arg, "--shards=",
-                                 &static_options.shards)) {
-        continue;
-      }
-      if (core::consume_int_flag(arg, "--workers=",
-                                 &static_options.workers)) {
-        elastic_options.workers = static_options.workers;
-        continue;
-      }
-      if (core::consume_int_flag(arg, "--retries=",
-                                 &static_options.retries)) {
-        continue;
-      }
-      int timeout_seconds = 0;
-      if (core::consume_int_flag(arg, "--timeout=", &timeout_seconds)) {
-        if (timeout_seconds < 0) {
-          return fail_usage("--timeout= must be >= 0");
+      if (core::consume_int_flag(arg, "--workers=", &options.workers)) {
+        if (options.workers < 0) {
+          return fail_usage("--workers= must be >= 0");
         }
-        static_options.timeout = std::chrono::seconds(timeout_seconds);
         continue;
       }
       long ranges = 0;
       if (core::consume_long_flag(arg, "--ranges=", &ranges)) {
         if (ranges < 0) return fail_usage("--ranges= must be >= 0");
-        elastic_options.ranges = static_cast<std::size_t>(ranges);
+        options.ranges = static_cast<std::size_t>(ranges);
         continue;
       }
       int lease_timeout_seconds = 0;
@@ -197,13 +165,13 @@ int main(int argc, char** argv) {
         if (lease_timeout_seconds < 1) {
           return fail_usage("--lease-timeout= must be >= 1 second");
         }
-        elastic_options.lease_timeout =
+        options.lease_timeout =
             std::chrono::seconds(lease_timeout_seconds);
         continue;
       }
       if (core::consume_double_flag(arg, "--straggler-factor=",
-                                    &elastic_options.straggler_factor)) {
-        if (elastic_options.straggler_factor < 0.0) {
+                                    &options.straggler_factor)) {
+        if (options.straggler_factor < 0.0) {
           return fail_usage("--straggler-factor= must be >= 0");
         }
         continue;
@@ -214,7 +182,7 @@ int main(int argc, char** argv) {
         if (straggler_min_ms < 0) {
           return fail_usage("--straggler-min-ms= must be >= 0");
         }
-        elastic_options.straggler_min =
+        options.straggler_min =
             std::chrono::milliseconds(straggler_min_ms);
         continue;
       }
@@ -224,16 +192,14 @@ int main(int argc, char** argv) {
         if (failure_budget < 0) {
           return fail_usage("--failure-budget= must be >= 0");
         }
-        elastic_options.failure_budget =
+        options.failure_budget =
             static_cast<std::size_t>(failure_budget);
         continue;
       }
       int backoff_ms = 0;
       if (core::consume_int_flag(arg, "--backoff-ms=", &backoff_ms)) {
         if (backoff_ms < 0) return fail_usage("--backoff-ms= must be >= 0");
-        static_options.backoff.base =
-            std::chrono::milliseconds(backoff_ms);
-        elastic_options.backoff.base = static_options.backoff.base;
+        options.backoff.base = std::chrono::milliseconds(backoff_ms);
         continue;
       }
       int backoff_cap_ms = 0;
@@ -242,17 +208,13 @@ int main(int argc, char** argv) {
         if (backoff_cap_ms < 0) {
           return fail_usage("--backoff-cap-ms= must be >= 0");
         }
-        static_options.backoff.cap =
-            std::chrono::milliseconds(backoff_cap_ms);
-        elastic_options.backoff.cap = static_options.backoff.cap;
+        options.backoff.cap = std::chrono::milliseconds(backoff_cap_ms);
         continue;
       }
       long backoff_seed = 0;
       if (core::consume_long_flag(arg, "--backoff-seed=",
                                   &backoff_seed)) {
-        static_options.backoff.seed =
-            static_cast<std::uint64_t>(backoff_seed);
-        elastic_options.backoff.seed = static_options.backoff.seed;
+        options.backoff.seed = static_cast<std::uint64_t>(backoff_seed);
         continue;
       }
       if (core::consume_int_flag(arg, "--chaos-kill-nth=",
@@ -275,11 +237,10 @@ int main(int argc, char** argv) {
         continue;
       }
       if (arg.rfind("--shard-dir=", 0) == 0) {
-        static_options.shard_dir = arg.substr(12);
-        if (static_options.shard_dir.empty()) {
+        options.shard_dir = arg.substr(12);
+        if (options.shard_dir.empty()) {
           return fail_usage("--shard-dir= is empty");
         }
-        elastic_options.shard_dir = static_options.shard_dir;
         continue;
       }
       if (arg.rfind("--", 0) == 0) {
@@ -296,59 +257,21 @@ int main(int argc, char** argv) {
   if (positional.size() != 1) {
     return fail_usage("expected exactly one bench binary");
   }
-  static_options.bench = positional[0];
-  elastic_options.bench = positional[0];
-  elastic_options.bench_args = static_options.bench_args;
-  if (static_options.shards < 0) {
-    return fail_usage("--shards= must be >= 1");
-  }
-  if (static_options.workers < 0) {
-    return fail_usage("--workers= must be >= 0");
-  }
-  if (static_options.retries < 0) {
-    return fail_usage("--retries= must be >= 0");
-  }
+  options.bench = positional[0];
+  if (options.workers == 0) options.workers = 3;
 
-  // The chaos transport wraps whichever scheduler runs.
   runtime::LocalExecTransport local;
   std::unique_ptr<runtime::ChaosKillTransport> chaos;
-  runtime::Transport* transport = &local;
+  options.transport = &local;
   if (chaos_kill_nth >= 1) {
     chaos = std::make_unique<runtime::ChaosKillTransport>(
         local, chaos_kill_nth,
         std::chrono::milliseconds(chaos_kill_delay_ms));
-    transport = chaos.get();
+    options.transport = chaos.get();
   }
 
-  if (static_options.shards >= 1) {
-    // Legacy static partition.
-    static_options.transport = transport;
-    const core::OrchestrationResult result =
-        core::orchestrate(static_options);
-    std::cout << result.summary();
-    if (!result.ok()) {
-      std::cerr << "sweep_orchestrator: incomplete run, not writing "
-                << out_path << "\n";
-      return 1;
-    }
-    if (!write_file(out_path, result.merged.dump(1))) {
-      std::cerr << "sweep_orchestrator: cannot write " << out_path
-                << " (shard documents kept in "
-                << static_options.shard_dir << ")\n";
-      return 1;
-    }
-    // Only now are the shard documents redundant.
-    if (!static_options.keep_shards) {
-      core::remove_shard_documents(static_options, result);
-    }
-    std::cout << "wrote " << out_path << "\n";
-    return 0;
-  }
-
-  if (elastic_options.workers == 0) elastic_options.workers = 3;
-  elastic_options.transport = transport;
   const core::ElasticResult result =
-      core::orchestrate_elastic(elastic_options);
+      core::orchestrate_elastic(options);
   std::cout << result.summary();
   if (!result.ok()) {
     std::cerr << "sweep_orchestrator: incomplete run, not writing "
@@ -357,12 +280,12 @@ int main(int argc, char** argv) {
   }
   if (!write_file(out_path, result.merged.dump(1))) {
     std::cerr << "sweep_orchestrator: cannot write " << out_path
-              << " (lease documents kept in "
-              << elastic_options.shard_dir << ")\n";
+              << " (lease documents kept in " << options.shard_dir
+              << ")\n";
     return 1;
   }
-  if (!elastic_options.keep_shards) {
-    core::remove_lease_documents(elastic_options, result);
+  if (!options.keep_shards) {
+    core::remove_lease_documents(options, result);
   }
   std::cout << "wrote " << out_path << "\n";
   return 0;
