@@ -229,6 +229,10 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
 
   shm::SimMemory mem;
   shm::Simulator sim(mem, n);
+  // A full-budget run's length is known up front (max_steps, unless
+  // every process crashes): reserve the schedule once and hash it as it
+  // runs. Stop-on-decide runs keep the post-run hash pass.
+  if (cfg.run_full_budget) sim.plan_length(cfg.max_steps);
   sim.use_crash_plan(setup.plan);
   if (setup.feed != nullptr) sim.publish_observations(setup.feed.get());
   if (setup.reactive != nullptr) {
@@ -369,7 +373,7 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
     const sched::PackedSchedule packed(sim.executed(), arena);
     report.witness_bound =
         packed.bound_for(setup.timely_set, setup.observed_set);
-    report.schedule_hash = sched::schedule_hash(sim.executed());
+    report.schedule_hash = sim.executed_hash();
     report.allocs_per_op = arena.allocs() - allocs_before;
     report.bytes_per_op = arena.bytes() - bytes_before;
   }

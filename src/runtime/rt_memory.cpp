@@ -13,12 +13,12 @@ shm::RegisterId RtMemory::add_registers(std::int64_t count) {
   return base;
 }
 
-shm::Value RtMemory::read(shm::RegisterId reg) {
+void RtMemory::read_into(shm::RegisterId reg, shm::Value& out) {
   SETLIB_EXPECTS(reg >= 0 && reg < register_count());
   Cell& cell = *cells_[static_cast<std::size_t>(reg)];
   reads_.fetch_add(1, std::memory_order_relaxed);
   const util::MutexLock lock(cell.mu);
-  return cell.value;
+  out = cell.value;
 }
 
 void RtMemory::write(shm::RegisterId reg, shm::Value v) {

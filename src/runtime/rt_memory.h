@@ -24,7 +24,7 @@ class RtMemory final : public shm::IMemory {
  public:
   RtMemory() = default;
 
-  shm::Value read(shm::RegisterId reg) override;
+  void read_into(shm::RegisterId reg, shm::Value& out) override;
   void write(shm::RegisterId reg, shm::Value v) override;
   std::int64_t register_count() const override;
   std::int64_t read_count() const override {

@@ -19,17 +19,19 @@ RoundRobinGenerator::RoundRobinGenerator(int n) : n_(n) {
 
 Pid RoundRobinGenerator::next() {
   const Pid p = next_;
-  next_ = (next_ + 1) % n_;
+  if (++next_ == n_) next_ = 0;
   return p;
 }
 
 UniformRandomGenerator::UniformRandomGenerator(int n, std::uint64_t seed)
     : n_(n), rng_(seed) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
+  threshold_ = Rng::below_threshold(static_cast<std::uint64_t>(n));
 }
 
 Pid UniformRandomGenerator::next() {
-  return static_cast<Pid>(rng_.next_below(static_cast<std::uint64_t>(n_)));
+  return static_cast<Pid>(
+      rng_.next_below(static_cast<std::uint64_t>(n_), threshold_));
 }
 
 WeightedRandomGenerator::WeightedRandomGenerator(std::vector<double> weights,
@@ -153,7 +155,7 @@ Pid KSubsetStarverGenerator::next() {
   if (step_in_phase_ >= growth_ * phase_) enter_phase();
   ++step_in_phase_;
   const Pid p = active_[rr_];
-  rr_ = (rr_ + 1) % active_.size();
+  if (++rr_ == active_.size()) rr_ = 0;
   return p;
 }
 

@@ -49,6 +49,8 @@ class UniformRandomGenerator final : public ScheduleGenerator {
 
  private:
   int n_;
+  /// Rng::below_threshold(n), hoisted out of the per-pull draw.
+  std::uint64_t threshold_ = 0;
   Rng rng_;
 };
 

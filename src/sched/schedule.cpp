@@ -1,7 +1,6 @@
 #include "src/sched/schedule.h"
 
 #include "src/util/assert.h"
-#include "src/util/rng.h"
 
 namespace setlib::sched {
 
@@ -20,9 +19,9 @@ Pid Schedule::operator[](std::int64_t i) const {
   return steps_[static_cast<std::size_t>(i)];
 }
 
-void Schedule::append(Pid p) {
-  SETLIB_EXPECTS(p >= 0 && p < n_);
-  steps_.push_back(p);
+void Schedule::reserve(std::int64_t steps) {
+  SETLIB_EXPECTS(steps >= 0);
+  steps_.reserve(static_cast<std::size_t>(steps));
 }
 
 std::int64_t Schedule::count(Pid p, std::int64_t from, std::int64_t to) const {
@@ -67,21 +66,9 @@ Schedule Schedule::slice(std::int64_t from, std::int64_t to) const {
 }
 
 std::uint64_t schedule_hash(const Schedule& s) noexcept {
-  // Chain the stream through splitmix64's mixer, feeding each mixed
-  // output back into the state: the next fold is added to a value that
-  // already depends nonlinearly on everything before it, so step ORDER
-  // (not just the multiset of pids) shapes the hash. Folding in n and
-  // the length first keeps e.g. (n=2, "010") distinct from (n=3, "010").
-  std::uint64_t state = 0x5e741a11u;  // arbitrary fixed chain seed
-  state += static_cast<std::uint64_t>(s.n());
-  state = splitmix64(state);
-  state += static_cast<std::uint64_t>(s.size());
-  state = splitmix64(state);
-  for (Pid p : s.steps()) {
-    state += static_cast<std::uint64_t>(p) + 1;
-    state = splitmix64(state);
-  }
-  return state;
+  ScheduleHasher hasher(s.n(), s.size());
+  for (Pid p : s.steps()) hasher.fold(p);
+  return hasher.value();
 }
 
 std::string hash_hex(std::uint64_t hash) {

@@ -11,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "src/util/assert.h"
 #include "src/util/procset.h"
+#include "src/util/rng.h"
 
 namespace setlib::sched {
 
@@ -29,7 +31,14 @@ class Schedule {
 
   Pid operator[](std::int64_t i) const;
 
-  void append(Pid p);
+  void append(Pid p) {
+    SETLIB_EXPECTS(p >= 0 && p < n_);
+    steps_.push_back(p);
+  }
+
+  /// Make room for `steps` steps in total, so appends up to that size
+  /// never regrow the storage.
+  void reserve(std::int64_t steps);
 
   const std::vector<Pid>& steps() const noexcept { return steps_; }
 
@@ -63,6 +72,39 @@ class Schedule {
 /// schedules collide only if the hash does; equal hashes over the same
 /// generator version mean bit-identical executions, which is what the
 /// fuzzer corpus and the merged bench rows pin across reruns and shards.
+///
+/// ScheduleHasher is the chain's one definition. The length is folded
+/// in before the steps, so a schedule can be hashed step by step as it
+/// is produced only when its final length is known up front (see
+/// shm::Simulator::plan_length); value() after folding exactly
+/// `length` steps equals schedule_hash of those steps.
+class ScheduleHasher {
+ public:
+  ScheduleHasher(int n, std::int64_t length) noexcept {
+    // Chain the stream through splitmix64's mixer, feeding each mixed
+    // output back into the state: the next fold is added to a value
+    // that already depends nonlinearly on everything before it, so
+    // step ORDER (not just the multiset of pids) shapes the hash.
+    // Folding in n and the length first keeps e.g. (n=2, "010")
+    // distinct from (n=3, "010").
+    state_ += static_cast<std::uint64_t>(n);
+    state_ = splitmix64(state_);
+    state_ += static_cast<std::uint64_t>(length);
+    state_ = splitmix64(state_);
+  }
+
+  void fold(Pid p) noexcept {
+    state_ += static_cast<std::uint64_t>(p) + 1;
+    state_ = splitmix64(state_);
+  }
+
+  std::uint64_t value() const noexcept { return state_; }
+
+ private:
+  std::uint64_t state_ = 0x5e741a11u;  // arbitrary fixed chain seed
+};
+
+/// One ScheduleHasher pass over a whole schedule.
 std::uint64_t schedule_hash(const Schedule& s) noexcept;
 
 /// Canonical 16-hex-digit rendering of a schedule hash. JSON numbers are

@@ -40,10 +40,10 @@ RegisterId SimMemory::add_registers(std::int64_t count) {
   return base;
 }
 
-Value SimMemory::read(RegisterId reg) {
+void SimMemory::read_into(RegisterId reg, Value& out) {
   SETLIB_EXPECTS(reg >= 0 && reg < register_count());
   ++reads_;
-  return cells_[static_cast<std::size_t>(reg)];
+  out = cells_[static_cast<std::size_t>(reg)];
 }
 
 void SimMemory::write(RegisterId reg, Value v) {

@@ -44,7 +44,15 @@ class IMemory {
   /// The register's name, rendered on demand.
   std::string name(RegisterId reg) const;
 
-  virtual Value read(RegisterId reg) = 0;
+  /// One read step, delivered into `out`: one copy from the register
+  /// instead of a returned temporary moved into place.
+  virtual void read_into(RegisterId reg, Value& out) = 0;
+  /// The same read step, returned by value.
+  Value read(RegisterId reg) {
+    Value v;
+    read_into(reg, v);
+    return v;
+  }
   virtual void write(RegisterId reg, Value v) = 0;
 
   virtual std::int64_t register_count() const = 0;
@@ -74,7 +82,7 @@ class SimMemory final : public IMemory {
  public:
   SimMemory() = default;
 
-  Value read(RegisterId reg) override;
+  void read_into(RegisterId reg, Value& out) override;
   void write(RegisterId reg, Value v) override;
   std::int64_t register_count() const override;
   std::int64_t read_count() const override { return reads_; }

@@ -15,9 +15,17 @@ void ProcessRuntime::add_task(Prog prog, std::string name) {
 
 bool ProcessRuntime::halted() const {
   for (const auto& t : tasks_) {
-    if (!t.started || !t.prog.done()) return false;
+    if (!t.done) return false;
   }
   return true;
+}
+
+void ProcessRuntime::resume(TaskCb& t) {
+  struct RecordDone {
+    TaskCb& t;
+    ~RecordDone() { t.done = t.prog.done(); }
+  } record{t};
+  t.prog.resume();
 }
 
 ProcessRuntime::TaskCb* ProcessRuntime::next_live_task() {
@@ -28,7 +36,7 @@ ProcessRuntime::TaskCb* ProcessRuntime::next_live_task() {
   for (std::size_t i = 0; i < count; ++i) {
     TaskCb& t = tasks_[at];
     if (++at == count) at = 0;
-    if (!t.started || !t.prog.done()) {
+    if (!t.done) {
       rr_cursor_ = at;
       return &t;
     }
@@ -42,8 +50,8 @@ bool ProcessRuntime::step(IMemory& mem) {
 
   if (!t->started) {
     t->started = true;
-    t->prog.resume();  // run to the first operation request (or completion)
-    if (t->prog.done()) return false;  // purely local task
+    resume(*t);  // run to the first operation request (or completion)
+    if (t->done) return false;  // purely local task
   }
 
   OpRequest& req = t->prog.pending();
@@ -51,7 +59,7 @@ bool ProcessRuntime::step(IMemory& mem) {
   switch (req.kind) {
     case OpRequest::Kind::kRead:
       SETLIB_ASSERT(req.read_sink != nullptr);
-      *req.read_sink = mem.read(req.reg);
+      mem.read_into(req.reg, *req.read_sink);
       break;
     case OpRequest::Kind::kWrite:
       mem.write(req.reg, std::move(req.to_write));
@@ -61,7 +69,7 @@ bool ProcessRuntime::step(IMemory& mem) {
   }
   req.clear();
   ++ops_;
-  t->prog.resume();  // run to the next request or completion
+  resume(*t);  // run to the next request or completion
   return true;
 }
 

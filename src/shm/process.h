@@ -52,9 +52,15 @@ class ProcessRuntime {
     Prog prog;
     std::string name;
     bool started = false;
+    /// prog.done() as of the last resume, so picking the next task
+    /// reads this flag instead of the coroutine frame.
+    bool done = false;
   };
 
   TaskCb* next_live_task();
+  /// Resume t's program and record whether it finished (also when the
+  /// body throws: the coroutine is then at its final suspend).
+  static void resume(TaskCb& t);
 
   Pid pid_;
   std::vector<TaskCb> tasks_;

@@ -64,8 +64,22 @@ bool Simulator::execute(Pid p) {
   if (crashed_.contains(p)) return false;
   procs_[static_cast<std::size_t>(p)].step(mem_);
   executed_.append(p);
+  if (hasher_) hasher_->fold(p);
   if (feed_ != nullptr) feed_->record_step(p);
   return true;
+}
+
+void Simulator::plan_length(std::int64_t steps) {
+  SETLIB_EXPECTS(steps >= 0);
+  SETLIB_EXPECTS(steps_taken() == 0);
+  executed_.reserve(steps);
+  planned_steps_ = steps;
+  hasher_.emplace(n_, steps);
+}
+
+std::uint64_t Simulator::executed_hash() const noexcept {
+  if (hasher_ && steps_taken() == planned_steps_) return hasher_->value();
+  return sched::schedule_hash(executed_);
 }
 
 void Simulator::step_once(Pid p) {

@@ -17,11 +17,23 @@
 // The loop itself does no heap allocation and no integer division per
 // step: the stop check counts down, and the crash plan is scanned only
 // when the executed step count reaches its next pending crash step.
+//
+// Length plan: a caller that knows the run's final length up front (a
+// full-budget cell) calls plan_length(steps) before the first step. The
+// executed schedule is then reserved once instead of regrowing, and
+// every executed step is folded into a sched::ScheduleHasher seeded
+// with that length, so executed_hash() needs no post-run pass. The plan
+// is bit-identity-neutral: it changes no step, and when the final
+// length differs from it (the stop predicate fired, every process
+// crashed, step_once added steps) executed_hash() falls back to the
+// post-run schedule_hash(executed()). Either way executed_hash() equals
+// schedule_hash(executed()).
 #ifndef SETLIB_SHM_SIMULATOR_H
 #define SETLIB_SHM_SIMULATOR_H
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/sched/generator.h"
@@ -81,8 +93,16 @@ class Simulator {
                          std::int64_t max_steps, Stop&& stop,
                          std::int64_t check_every = 64);
 
+  /// Declare that the run will execute `steps` steps in total. Must be
+  /// called before the first step; see the length plan above.
+  void plan_length(std::int64_t steps);
+
   const sched::Schedule& executed() const noexcept { return executed_; }
   std::int64_t steps_taken() const noexcept { return executed_.size(); }
+
+  /// schedule_hash(executed()): the folded value when the run kept its
+  /// length plan, the post-run pass otherwise.
+  std::uint64_t executed_hash() const noexcept;
 
  private:
   /// Crash every live process whose plan step has been reached, then
@@ -106,6 +126,10 @@ class Simulator {
   std::int64_t next_plan_crash_ = sched::CrashPlan::kNever;
   std::function<ProcSet()> crash_source_;
   sched::ObservationFeed* feed_ = nullptr;
+  /// Set by plan_length: the planned length and the hash of the steps
+  /// executed so far, seeded with it.
+  std::int64_t planned_steps_ = 0;
+  std::optional<sched::ScheduleHasher> hasher_;
 };
 
 template <typename Stop>

@@ -133,12 +133,15 @@ class Value {
   }
   // Inline words are always initialized (unused ones are zero), so an
   // inline copy moves the whole fixed-size block without a size branch.
+  // The block is copied and cleared word by word: std::copy of the
+  // union member compiled to an out-of-line memmove call on every
+  // register read.
   void copy_from(const Value& other) {
     if (other.spilled()) {
       assign(other.heap_, other.size_);
     } else {
       size_ = other.size_;
-      std::copy(other.inline_, other.inline_ + kInlineWords, inline_);
+      copy_inline(other);
     }
   }
   void steal(Value& other) noexcept {
@@ -146,17 +149,30 @@ class Value {
     if (other.spilled()) {
       heap_ = other.heap_;
       other.size_ = 0;
-      std::fill(other.inline_, other.inline_ + kInlineWords, 0);
+      other.clear_inline();
     } else {
-      std::copy(other.inline_, other.inline_ + kInlineWords, inline_);
+      copy_inline(other);
     }
   }
   void release() noexcept {
     if (spilled()) {
       delete[] heap_;
       size_ = 0;
-      std::fill(inline_, inline_ + kInlineWords, 0);
+      clear_inline();
     }
+  }
+  void copy_inline(const Value& other) noexcept {
+    static_assert(kInlineWords == 4);
+    inline_[0] = other.inline_[0];
+    inline_[1] = other.inline_[1];
+    inline_[2] = other.inline_[2];
+    inline_[3] = other.inline_[3];
+  }
+  void clear_inline() noexcept {
+    inline_[0] = 0;
+    inline_[1] = 0;
+    inline_[2] = 0;
+    inline_[3] = 0;
   }
 
   std::size_t size_ = 0;

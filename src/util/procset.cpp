@@ -36,13 +36,6 @@ ProcSet ProcSet::range(Pid lo, Pid hi) {
   return s;
 }
 
-bool ProcSet::contains(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
-  return (mask_ >> p) & 1;
-}
-
-int ProcSet::size() const noexcept { return std::popcount(mask_); }
-
 ProcSet ProcSet::with(Pid p) const {
   SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
   return ProcSet(mask_ | (std::uint64_t{1} << p));
@@ -64,9 +57,12 @@ Pid ProcSet::max() const {
 }
 
 Pid ProcSet::nth(int m) const {
-  SETLIB_EXPECTS(m >= 0 && m < size());
+  SETLIB_EXPECTS(m >= 0);
   std::uint64_t mask = mask_;
-  for (int i = 0; i < m; ++i) mask &= mask - 1;  // clear lowest set bit
+  for (int i = 0; i < m && mask != 0; ++i) mask &= mask - 1;  // clear lowest
+  // m < size() iff a set bit survives clearing the m lowest; checked
+  // this way because popcount is a library call without -mpopcnt.
+  SETLIB_EXPECTS(mask != 0);
   return std::countr_zero(mask);
 }
 

@@ -77,8 +77,13 @@ class ProcSet {
   static ProcSet range(Pid lo, Pid hi);
 
   constexpr std::uint64_t mask() const noexcept { return mask_; }
-  bool contains(Pid p) const;
-  int size() const noexcept;
+  // Inline: the enforcer, the simulator's crash check and the analyzer
+  // ask these once per step.
+  bool contains(Pid p) const {
+    SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
+    return (mask_ >> p) & 1;
+  }
+  int size() const noexcept { return std::popcount(mask_); }
   bool empty() const noexcept { return mask_ == 0; }
 
   ProcSet with(Pid p) const;

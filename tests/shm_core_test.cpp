@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/sched/generators.h"
+#include "src/sched/schedule.h"
 #include "src/shm/memory.h"
 #include "src/shm/process.h"
 #include "src/shm/program.h"
@@ -229,6 +230,86 @@ TEST(SimulatorTest, StepAccountingMatchesMemoryCounters) {
   sched::RoundRobinGenerator gen(2);
   sim.run(gen, 120);
   EXPECT_EQ(mem.read_count() + mem.write_count(), 120);
+}
+
+// ---------------------------------------------------------------------
+// Length plan: executed_hash() equals the post-run schedule_hash
+// whether the run kept its plan (folded value) or not (fallback pass).
+
+struct HashedRun {
+  std::int64_t steps = 0;
+  std::uint64_t executed_hash = 0;
+  std::uint64_t post_run_hash = 0;
+};
+
+/// A 3-process incrementer run of at most `max_steps` pulls from a
+/// seeded uniform generator, stopped once `stop_at` steps executed,
+/// planned for `plan` steps (negative: unplanned), with `extra` step_once
+/// calls on process 0 afterwards.
+HashedRun hashed_run(std::int64_t plan, std::int64_t max_steps,
+                     std::int64_t stop_at, const sched::CrashPlan& crashes,
+                     int extra = 0) {
+  SimMemory mem;
+  const RegisterId r = mem.alloc("r");
+  Simulator sim(mem, 3);
+  for (Pid p = 0; p < 3; ++p) {
+    sim.process(p).add_task(incrementer(r, 1'000), "inc");
+  }
+  if (plan >= 0) sim.plan_length(plan);
+  sim.use_crash_plan(crashes);
+  sched::UniformRandomGenerator gen(3, 11);
+  HashedRun out;
+  out.steps = sim.run_until(
+      gen, max_steps, [&] { return sim.steps_taken() >= stop_at; },
+      /*check_every=*/1);
+  for (int i = 0; i < extra; ++i) sim.step_once(0);
+  out.executed_hash = sim.executed_hash();
+  out.post_run_hash = sched::schedule_hash(sim.executed());
+  return out;
+}
+
+TEST(SimulatorLengthPlanTest, PlannedFullRunFoldsThePostRunHash) {
+  const HashedRun planned =
+      hashed_run(500, 500, 1'000, sched::CrashPlan::none(3));
+  EXPECT_EQ(planned.steps, 500);
+  EXPECT_EQ(planned.executed_hash, planned.post_run_hash);
+  const HashedRun unplanned =
+      hashed_run(-1, 500, 1'000, sched::CrashPlan::none(3));
+  EXPECT_EQ(unplanned.executed_hash, planned.executed_hash);
+}
+
+TEST(SimulatorLengthPlanTest, PlannedRunStoppedEarlyFallsBack) {
+  const HashedRun run = hashed_run(500, 500, 120, sched::CrashPlan::none(3));
+  EXPECT_EQ(run.steps, 120);
+  EXPECT_EQ(run.executed_hash, run.post_run_hash);
+}
+
+TEST(SimulatorLengthPlanTest, EveryoneCrashedBeforeThePlanFallsBack) {
+  const HashedRun run = hashed_run(
+      500, 500, 1'000, sched::CrashPlan::at(3, ProcSet::universe(3), 77));
+  EXPECT_EQ(run.steps, 77);
+  EXPECT_EQ(run.executed_hash, run.post_run_hash);
+}
+
+TEST(SimulatorLengthPlanTest, UnplannedRunHashesAfterTheRun) {
+  const HashedRun run = hashed_run(-1, 300, 1'000, sched::CrashPlan::none(3));
+  EXPECT_EQ(run.steps, 300);
+  EXPECT_EQ(run.executed_hash, run.post_run_hash);
+}
+
+TEST(SimulatorLengthPlanTest, StepsPastThePlanFallBack) {
+  const HashedRun run =
+      hashed_run(500, 500, 1'000, sched::CrashPlan::none(3), /*extra=*/2);
+  EXPECT_EQ(run.steps, 500);
+  EXPECT_EQ(run.executed_hash, run.post_run_hash);
+}
+
+TEST(SimulatorLengthPlanTest, PlanMustPrecedeTheFirstStep) {
+  SimMemory mem;
+  Simulator sim(mem, 2);
+  EXPECT_THROW(sim.plan_length(-1), ContractViolation);
+  sim.step_once(0);
+  EXPECT_THROW(sim.plan_length(10), ContractViolation);
 }
 
 // ---------------------------------------------------------------------

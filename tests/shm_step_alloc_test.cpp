@@ -105,6 +105,21 @@ TEST(StepLoopAllocationTest, BudgetCrasherCellIsFlatInSteps) {
   expect_flat(cell(core::ScheduleFamily::kBudgetCrasher, {2, 2, 5}, 2, 3));
 }
 
+TEST(StepLoopAllocationTest, PlannedFullBudgetCellReservesItsScheduleOnce) {
+  // run_full_budget fixes the run's length, so run_agreement plans it:
+  // the executed schedule is reserved once at its final size instead of
+  // regrowing, and its hash is folded as the run goes. What is left of
+  // the difference does not grow with the steps at all.
+  const core::RunConfig cfg =
+      cell(core::ScheduleFamily::kKSubsetStarver, {2, 1, 4}, 2, 4);
+  const std::int64_t small = cell_allocations(cfg, 10'000);
+  const std::int64_t large = cell_allocations(cfg, 100'000);
+  RecordProperty("allocations_10k", static_cast<int>(small));
+  RecordProperty("allocations_100k", static_cast<int>(large));
+  EXPECT_EQ(large - small, 0)
+      << "10k steps: " << small << " allocations, 100k steps: " << large;
+}
+
 /// Allocations made by one detector-only run at `steps`. The window
 /// is out of reach, so KAntiOmega::stabilized — the run's stop
 /// predicate, checked every 64 steps — polls until the budget ends.
