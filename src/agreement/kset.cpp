@@ -38,11 +38,10 @@ void KSetAgreement::install(shm::ProcessRuntime& proc, Pid p,
                   static_cast<std::size_t>(p)]
             .get();
     // Instance m trusts the m-th smallest member of the local winnerset
-    // (the winnerset always has exactly k members, Figure 2 line 4).
+    // (the winnerset always has exactly k members, Figure 2 line 4;
+    // KAntiOmega's constructor checks that once for every candidate set).
     auto leader = [this, m](Pid self) -> Pid {
-      const ProcSet ws = detector_->view(self).winnerset;
-      SETLIB_ASSERT(ws.size() == params_.k);
-      return ws.nth(m);
+      return detector_->view(self).winnerset.nth(m);
     };
     auto on_decide = [this, m, p](std::int64_t value) {
       Outcome& o = outcomes_[static_cast<std::size_t>(p)];

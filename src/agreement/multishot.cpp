@@ -61,10 +61,9 @@ shm::Prog MultiShotAgreement::driver(Pid p,
     std::vector<bool> started(static_cast<std::size_t>(k), false);
     kids.reserve(static_cast<std::size_t>(k));
     for (int m = 0; m < k; ++m) {
+      // The m-th smallest member of a k-member winnerset, as in kset.cpp.
       auto leader = [this, m](Pid self) -> Pid {
-        const ProcSet ws = detector_->view(self).winnerset;
-        SETLIB_ASSERT(ws.size() == params_.k);
-        return ws.nth(m);
+        return detector_->view(self).winnerset.nth(m);
       };
       kids.push_back(instance(slot, m).run(
           p, commands[static_cast<std::size_t>(slot)], leader,
@@ -80,14 +79,10 @@ shm::Prog MultiShotAgreement::driver(Pid p,
           started[static_cast<std::size_t>(m)] = true;
         }
         if (kid.done()) continue;
-        // Forward exactly one of the child's operations as our own.
-        shm::OpRequest& req = kid.pending();
-        if (req.kind == shm::OpRequest::Kind::kRead) {
-          *req.read_sink = co_await shm::read(req.reg);
-        } else {
-          co_await shm::write(req.reg, std::move(req.to_write));
-        }
-        req.clear();
+        // Forward exactly one step of the child's operations as our own
+        // (one register of a multi-step read); the child resumes once
+        // its whole request is served.
+        if (!co_await shm::forward(kid.pending())) continue;
         kid.resume();
         if (statuses[static_cast<std::size_t>(m)].decided) {
           decision = statuses[static_cast<std::size_t>(m)].value;

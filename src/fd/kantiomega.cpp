@@ -22,6 +22,10 @@ KAntiOmega::KAntiOmega(shm::IMemory& mem, Params params)
   const std::int64_t sets = ranker_.count();
   heartbeat_base_ = mem.alloc_array("Heartbeat", params.n);
   counter_base_ = mem.alloc_array("Counter", sets * params.n);
+  // The winnerset is always one of these sets, so every one has exactly
+  // k members; the agreement layer's leader choice relies on it without
+  // re-checking per query.
+  for (const ProcSet& s : subsets_) SETLIB_ENSURES(s.size() == params.k);
   views_.assign(static_cast<std::size_t>(params.n), View{});
   // Initial fdOutput: any set of n-k processes (paper's initialisation);
   // use the complement of the rank-0 subset.
@@ -71,15 +75,13 @@ shm::Prog KAntiOmega::run_impl(Pid p) {
   std::vector<std::int64_t> timer = timeout;  // timer[A] = timeout[A]
   std::vector<std::int64_t> cnt(static_cast<std::size_t>(sets * n), 0);
   std::vector<std::int64_t> row(static_cast<std::size_t>(n), 0);
+  std::vector<std::int64_t> heartbeat(static_cast<std::size_t>(n), 0);
 
   for (;;) {  // line 1: repeat forever
-    // line 2: cnt[A, q] <- read(Counter[A, q]) for every (A, q)
-    for (std::int64_t a = 0; a < sets; ++a) {
-      for (Pid q = 0; q < n; ++q) {
-        const shm::Value v = co_await shm::read(counter_reg(a, q));
-        cnt[static_cast<std::size_t>(a * n + q)] = v.as_int_or(0);
-      }
-    }
+    // line 2: cnt[A, q] <- read(Counter[A, q]) for every (A, q): one
+    // read step per register, in (A, q) order, which is the Counter
+    // array's layout (counter_reg(A, q) = Counter + A*n + q).
+    co_await shm::read_words(counter_base_, sets * n, cnt.data());
 
     // lines 3-4: accusation[A] := (t+1)-st smallest of cnt[A, *];
     // winnerset := argmin over (accusation[A], A).
@@ -121,11 +123,13 @@ shm::Prog KAntiOmega::run_impl(Pid p) {
     ++my_hb;
     co_await shm::write(heartbeat_reg(p), shm::Value::of(my_hb));
 
-    // lines 8-13: observe heartbeats; reset timers of sets containing a
-    // process whose heartbeat advanced.
+    // lines 8-13: observe heartbeats (one read step each, in q order);
+    // reset timers of sets containing a process whose heartbeat
+    // advanced. The resets touch only local state, so running them
+    // after the last read changes no step.
+    co_await shm::read_words(heartbeat_base_, n, heartbeat.data());
     for (Pid q = 0; q < n; ++q) {
-      const shm::Value v = co_await shm::read(heartbeat_reg(q));
-      const std::int64_t hbq = v.as_int_or(0);
+      const std::int64_t hbq = heartbeat[static_cast<std::size_t>(q)];
       if (hbq > prev_heartbeat[static_cast<std::size_t>(q)]) {
         for (std::int64_t a = 0; a < sets; ++a) {
           if (subsets_[static_cast<std::size_t>(a)].contains(q)) {

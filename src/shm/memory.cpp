@@ -40,22 +40,6 @@ RegisterId SimMemory::add_registers(std::int64_t count) {
   return base;
 }
 
-void SimMemory::read_into(RegisterId reg, Value& out) {
-  SETLIB_EXPECTS(reg >= 0 && reg < register_count());
-  ++reads_;
-  out = cells_[static_cast<std::size_t>(reg)];
-}
-
-void SimMemory::write(RegisterId reg, Value v) {
-  SETLIB_EXPECTS(reg >= 0 && reg < register_count());
-  ++writes_;
-  cells_[static_cast<std::size_t>(reg)] = std::move(v);
-}
-
-std::int64_t SimMemory::register_count() const {
-  return static_cast<std::int64_t>(cells_.size());
-}
-
 const Value& SimMemory::peek(RegisterId reg) const {
   SETLIB_EXPECTS(reg >= 0 && reg < register_count());
   return cells_[static_cast<std::size_t>(reg)];

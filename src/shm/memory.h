@@ -21,9 +21,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/shm/value.h"
+#include "src/util/assert.h"
 
 namespace setlib::shm {
 
@@ -77,14 +79,26 @@ class IMemory {
   std::vector<NameRun> names_;  // ascending base ids
 };
 
-/// Deterministic single-threaded memory.
+/// Deterministic single-threaded memory. Its register access is
+/// defined inline, so the Simulator's step loop (which holds a
+/// SimMemory&, not an IMemory&) reads and writes without a virtual call.
 class SimMemory final : public IMemory {
  public:
   SimMemory() = default;
 
-  void read_into(RegisterId reg, Value& out) override;
-  void write(RegisterId reg, Value v) override;
-  std::int64_t register_count() const override;
+  void read_into(RegisterId reg, Value& out) override {
+    SETLIB_EXPECTS(reg >= 0 && reg < register_count());
+    ++reads_;
+    out = cells_[static_cast<std::size_t>(reg)];
+  }
+  void write(RegisterId reg, Value v) override {
+    SETLIB_EXPECTS(reg >= 0 && reg < register_count());
+    ++writes_;
+    cells_[static_cast<std::size_t>(reg)] = std::move(v);
+  }
+  std::int64_t register_count() const override {
+    return static_cast<std::int64_t>(cells_.size());
+  }
   std::int64_t read_count() const override { return reads_; }
   std::int64_t write_count() const override { return writes_; }
 

@@ -4,7 +4,7 @@
 
 namespace setlib::shm {
 
-Simulator::Simulator(IMemory& mem, int n)
+Simulator::Simulator(SimMemory& mem, int n)
     : mem_(mem),
       n_(n),
       executed_(n),

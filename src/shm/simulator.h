@@ -49,7 +49,9 @@ namespace setlib::shm {
 
 class Simulator {
  public:
-  Simulator(IMemory& mem, int n);
+  /// The memory is concrete: the step loop reads and writes SimMemory's
+  /// inline register access directly (process.h's step template).
+  Simulator(SimMemory& mem, int n);
 
   int n() const noexcept { return n_; }
   ProcessRuntime& process(Pid p);
@@ -114,7 +116,7 @@ class Simulator {
   void crash_per_source();
   bool execute(Pid p);
 
-  IMemory& mem_;
+  SimMemory& mem_;
   int n_;
   std::vector<ProcessRuntime> procs_;
   ProcSet crashed_;

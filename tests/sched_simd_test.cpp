@@ -122,6 +122,19 @@ TEST(SimdKernelTest, PruneOutcomeIsImplementationIndependent) {
   }
 }
 
+TEST(SimdKernelTest, KernelEntryPointsAreCacheLineAligned) {
+  // CMakeLists.txt compiles simd.cpp with -falign-functions=64, so the
+  // kernels' code placement does not move with unrelated changes to
+  // the rest of the library.
+  for (const simd::Kernels* k :
+       {&simd::scalar_kernels(), &simd::active_kernels()}) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(k->or_into) % 64, 0u)
+        << k->name << " or_into";
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(k->window_walk) % 64, 0u)
+        << k->name << " window_walk";
+  }
+}
+
 TEST(SimdDifferentialTest, ThousandRandomSchedulesMatchTheReference) {
   // The randomized differential: packed bound == reference bound on
   // 1000 random (schedule, P, Q, [from, to)) instances, under the

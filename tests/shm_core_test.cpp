@@ -166,6 +166,198 @@ TEST(SubProgramPumpTest, ForwardsChildOps) {
   EXPECT_EQ(seen, 9);
 }
 
+// ---------------------------------------------------------------------
+// Multi-step read requests: read_words(base, count, out) is `count`
+// read steps, one register each, and resumes its program after the
+// last.
+
+/// Scans `count` registers from `base` into out, then writes 1 to `done`.
+Prog scan_then_mark(RegisterId base, std::int64_t count, std::int64_t* out,
+                    RegisterId done) {
+  co_await read_words(base, count, out);
+  co_await write(done, Value::of(1));
+}
+
+TEST(ReadWordsTest, OneReadStepPerRegisterThenResume) {
+  SimMemory mem;
+  const RegisterId base = mem.alloc_array("x", 3);
+  const RegisterId done = mem.alloc("done");
+  mem.write(base, Value::of(4));
+  mem.write(base + 2, Value::of(6, 9));  // a multi-word register: word 0
+  std::vector<std::int64_t> out(3, -7);
+  ProcessRuntime proc(0);
+  proc.add_task(scan_then_mark(base, 3, out.data(), done), "scan");
+  const std::int64_t reads0 = mem.read_count();
+
+  EXPECT_TRUE(proc.step(mem));
+  EXPECT_EQ(out, (std::vector<std::int64_t>{4, -7, -7}));
+  EXPECT_TRUE(proc.step(mem));  // x[1] is bottom: reads as 0
+  EXPECT_EQ(out, (std::vector<std::int64_t>{4, 0, -7}));
+  EXPECT_TRUE(mem.peek(done).is_nil());
+  EXPECT_EQ(proc.ops_executed(), 2);
+  EXPECT_EQ(mem.read_count() - reads0, 2);
+  EXPECT_TRUE(proc.step(mem));  // the last read resumes the program
+  EXPECT_EQ(out, (std::vector<std::int64_t>{4, 0, 6}));
+  EXPECT_TRUE(mem.peek(done).is_nil());
+  EXPECT_TRUE(proc.step(mem));
+  EXPECT_EQ(mem.peek(done), Value::of(1));
+  EXPECT_TRUE(proc.halted());
+  EXPECT_EQ(proc.ops_executed(), 4);
+  EXPECT_EQ(mem.read_count() - reads0, 3);
+}
+
+TEST(ReadWordsTest, WriteBetweenTwoReadsIsSeenByTheLaterReadOnly) {
+  SimMemory mem;
+  const RegisterId base = mem.alloc_array("x", 3);
+  const RegisterId done = mem.alloc("done");
+  std::vector<std::int64_t> out(3, -7);
+  auto writer = [](RegisterId a, RegisterId b) -> Prog {
+    co_await write(a, Value::of(5));
+    co_await write(b, Value::of(6));
+  };
+  Simulator sim(mem, 2);
+  sim.process(0).add_task(scan_then_mark(base, 3, out.data(), done), "scan");
+  sim.process(1).add_task(writer(base, base + 1), "writer");
+  sim.step_once(0);  // reads x[0] = 0
+  sim.step_once(1);  // x[0] := 5
+  sim.step_once(1);  // x[1] := 6
+  sim.step_once(0);  // reads x[1] = 6
+  sim.step_once(0);  // reads x[2] = 0
+  EXPECT_EQ(out, (std::vector<std::int64_t>{0, 6, 0}));
+  EXPECT_EQ(sim.process(0).ops_executed(), 3);
+  EXPECT_EQ(mem.read_count(), 3);
+}
+
+TEST(ReadWordsTest, RoundRobinWithASecondTaskIsUnchanged) {
+  // A scan of x[0..2] next to a task that writes 1, 2, 3, ... into
+  // x[2]: the tasks alternate single steps, so the scan's third read
+  // (the process's fifth step) sees the sibling's second write.
+  SimMemory mem;
+  const RegisterId base = mem.alloc_array("x", 3);
+  const RegisterId done = mem.alloc("done");
+  std::vector<std::int64_t> out(3, -7);
+  auto counter = [](RegisterId reg) -> Prog {
+    for (std::int64_t v = 1;; ++v) co_await write(reg, Value::of(v));
+  };
+  ProcessRuntime proc(0);
+  proc.add_task(scan_then_mark(base, 3, out.data(), done), "scan");
+  proc.add_task(counter(base + 2), "ctr");
+  for (int s = 0; s < 5; ++s) proc.step(mem);
+  EXPECT_EQ(out, (std::vector<std::int64_t>{0, 0, 2}));
+  EXPECT_TRUE(mem.peek(done).is_nil());
+  proc.step(mem);  // the sibling's third write
+  EXPECT_EQ(mem.peek(base + 2), Value::of(3));
+  proc.step(mem);  // the scan task, resumed after its last read, marks
+  EXPECT_EQ(mem.peek(done), Value::of(1));
+  EXPECT_EQ(proc.ops_executed(), 7);
+}
+
+TEST(ReadWordsTest, CrashMidRequestLeavesTheRestUnread) {
+  SimMemory mem;
+  const RegisterId base = mem.alloc_array("x", 4);
+  const RegisterId done = mem.alloc("done");
+  for (RegisterId r = base; r < base + 4; ++r) mem.write(r, Value::of(r + 1));
+  std::vector<std::int64_t> out(4, -7);
+  Simulator sim(mem, 2);
+  sim.process(0).add_task(scan_then_mark(base, 4, out.data(), done), "scan");
+  const std::int64_t reads0 = mem.read_count();
+  sim.step_once(0);
+  sim.step_once(0);
+  sim.crash(0);
+  sim.step_once(0);  // crashed: no step
+  EXPECT_EQ(out, (std::vector<std::int64_t>{base + 1, base + 2, -7, -7}));
+  EXPECT_EQ(mem.read_count() - reads0, 2);
+  EXPECT_EQ(sim.steps_taken(), 2);
+  EXPECT_EQ(sim.process(0).ops_executed(), 2);
+  EXPECT_TRUE(mem.peek(done).is_nil());
+}
+
+TEST(ReadWordsTest, ZeroCountDoesNotSuspend) {
+  SimMemory mem;
+  const RegisterId done = mem.alloc("done");
+  ProcessRuntime proc(0);
+  proc.add_task(scan_then_mark(done, 0, nullptr, done), "empty-scan");
+  EXPECT_TRUE(proc.step(mem));  // the first step is already the write
+  EXPECT_EQ(mem.peek(done), Value::of(1));
+  EXPECT_TRUE(proc.halted());
+  EXPECT_EQ(proc.ops_executed(), 1);
+  EXPECT_EQ(mem.read_count(), 0);
+}
+
+TEST(ReadWordsTest, CoRunForwardsEachReadAsOneParentStep) {
+  SimMemory mem;
+  const RegisterId base = mem.alloc_array("x", 3);
+  const RegisterId done = mem.alloc("done");
+  for (RegisterId r = base; r < base + 3; ++r) mem.write(r, Value::of(10 + r));
+  std::vector<std::int64_t> out(3, -7);
+  auto parent = [](RegisterId b, std::int64_t* o, RegisterId d) -> Prog {
+    SETLIB_CO_RUN(scan_then_mark(b, 3, o, d));
+    co_await write(d, Value::of(2));
+  };
+  ProcessRuntime proc(0);
+  proc.add_task(parent(base, out.data(), done), "parent");
+  proc.step(mem);
+  EXPECT_EQ(out, (std::vector<std::int64_t>{10 + base, -7, -7}));
+  proc.step(mem);
+  proc.step(mem);
+  EXPECT_EQ(out,
+            (std::vector<std::int64_t>{10 + base, 11 + base, 12 + base}));
+  EXPECT_TRUE(mem.peek(done).is_nil());
+  proc.step(mem);  // the child's write
+  EXPECT_EQ(mem.peek(done), Value::of(1));
+  proc.step(mem);  // the parent's own write
+  EXPECT_EQ(mem.peek(done), Value::of(2));
+  EXPECT_TRUE(proc.halted());
+  EXPECT_EQ(proc.ops_executed(), 5);
+  EXPECT_EQ(mem.read_count(), 3);
+}
+
+TEST(ReadWordsTest, RoundRobinPumpForwardsOneReadPerPass) {
+  // MultiShotAgreement's forwarding loop: each pass forwards one step
+  // of each live child, so two children's scans interleave read by
+  // read, and a child resumes only after its last read.
+  SimMemory mem;
+  const RegisterId xs = mem.alloc_array("x", 2);
+  const RegisterId ys = mem.alloc_array("y", 2);
+  const RegisterId done_x = mem.alloc("done_x");
+  const RegisterId done_y = mem.alloc("done_y");
+  auto counter = [](RegisterId reg) -> Prog {
+    for (std::int64_t v = 1;; ++v) co_await write(reg, Value::of(v));
+  };
+  std::vector<std::int64_t> out_x(2, -7);
+  std::vector<std::int64_t> out_y(2, -7);
+  auto pump = [](std::vector<Prog> kids) -> Prog {
+    for (auto& kid : kids) kid.resume();
+    for (bool live = true; live;) {
+      live = false;
+      for (auto& kid : kids) {
+        if (kid.done()) continue;
+        live = true;
+        if (co_await forward(kid.pending())) kid.resume();
+      }
+    }
+  };
+  std::vector<Prog> kids;
+  kids.push_back(scan_then_mark(xs, 2, out_x.data(), done_x));
+  kids.push_back(scan_then_mark(ys, 2, out_y.data(), done_y));
+  Simulator sim(mem, 2);
+  sim.process(0).add_task(pump(std::move(kids)), "pump");
+  // Process 1 bumps y[1] between every two steps of process 0.
+  sim.process(1).add_task(counter(ys + 1), "ctr");
+  const Pid order[] = {0, 1, 0, 1, 0, 1, 0};
+  for (const Pid p : order) sim.step_once(p);
+  // Steps of process 0: x[0], y[0], x[1], y[1] (after three bumps).
+  EXPECT_EQ(out_x, (std::vector<std::int64_t>{0, 0}));
+  EXPECT_EQ(out_y, (std::vector<std::int64_t>{0, 3}));
+  EXPECT_TRUE(mem.peek(done_x).is_nil());
+  sim.step_once(0);
+  sim.step_once(0);
+  EXPECT_EQ(mem.peek(done_x), Value::of(1));
+  EXPECT_EQ(mem.peek(done_y), Value::of(1));
+  EXPECT_TRUE(sim.process(0).halted());
+  EXPECT_EQ(sim.process(0).ops_executed(), 6);
+}
+
 TEST(SimulatorTest, RecordsExecutedSchedule) {
   SimMemory mem;
   const RegisterId r = mem.alloc("r");
